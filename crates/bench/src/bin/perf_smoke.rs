@@ -5,9 +5,12 @@
 //! saturation knee, where nearly every cycle is active and the event
 //! engine has no inert cycles to skip — on both engines over a shared
 //! [`SimPlan`], checks the runs are bit-identical, and fails (exit 1) if
-//! the event engine's wall-clock exceeds 1.1× the cycle engine's. This is
-//! the regression gate for the calendar queue + arena + span-backoff hot
-//! path; the full trajectory lives in `BENCH_sim.json`.
+//! the event engine's wall-clock exceeds 1.1× the cycle engine's. Both
+//! are the same flit kernel, so this gates exactly what the skip policy
+//! adds per simulated cycle: the event-queue jumps, the streaming-span
+//! scan and its backoff. The cycle run must have simulated every cycle
+//! and batched nothing, or the comparison is void. The full trajectory
+//! lives in `BENCH_sim.json`.
 //!
 //! ```text
 //! cargo run --release -p noc-bench --bin perf-smoke [-- n rate samples]
@@ -79,6 +82,16 @@ fn time_engines(
     samples: usize,
 ) -> (f64, f64, f64, SimResults, SimResults) {
     let cycle_res = run_once(topo, wl, plan, EngineKind::Cycle);
+    // The gate must compare skipping against stepping: a cycle run that
+    // skipped or batched would make the ratio meaningless.
+    assert_eq!(
+        cycle_res.engine.simulated_cycles, cycle_res.cycles,
+        "the cycle engine skipped cycles"
+    );
+    assert_eq!(
+        cycle_res.engine.spans_batched, 0,
+        "the cycle engine batched spans"
+    );
     let event_res = run_once(topo, wl, plan, EngineKind::EventDriven);
     let mut cycle_times = Vec::with_capacity(samples);
     let mut event_times = Vec::with_capacity(samples);

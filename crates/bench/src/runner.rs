@@ -429,11 +429,22 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
         .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-/// Content address of one `(scenario, rate, replicate)` simulation job.
-/// The scenario is keyed by its canonical JSON with the display name
-/// cleared, so renaming an experiment never invalidates its cache.
-fn point_key(spec_json: &str, rate: f64, rep: u32) -> u64 {
-    let h = fnv1a(FNV_OFFSET, spec_json.as_bytes());
+/// Version of the simulated-results semantics, folded into every cache
+/// key. Bump it in any change that alters the [`SimResults`] a given
+/// `(scenario, rate, replicate)` produces — engine arbitration or timing,
+/// arrival processes, routing, destination sampling, statistics — so
+/// caches written under the old semantics miss instead of being served.
+/// Changes that only make the program faster leave it alone.
+const RESULTS_SEMANTICS_VERSION: u32 = 1;
+
+/// Content address of one `(scenario, rate, replicate)` simulation job
+/// under results-semantics `version` (the runner passes
+/// [`RESULTS_SEMANTICS_VERSION`]). The scenario is keyed by its canonical
+/// JSON with the display name cleared, so renaming an experiment never
+/// invalidates its cache.
+fn point_key(version: u32, spec_json: &str, rate: f64, rep: u32) -> u64 {
+    let h = fnv1a(FNV_OFFSET, &version.to_le_bytes());
+    let h = fnv1a(h, spec_json.as_bytes());
     let h = fnv1a(h, &rate.to_bits().to_le_bytes());
     fnv1a(h, &rep.to_le_bytes())
 }
@@ -550,9 +561,10 @@ impl Runner {
             };
             let mut cfg = sc.sim;
             cfg.seed = sc.seed.wrapping_add(rep as u64);
-            let cache_path = cache_base
-                .as_ref()
-                .map(|(dir, json)| dir.join(format!("{:016x}.json", point_key(json, rate, rep))));
+            let cache_path = cache_base.as_ref().map(|(dir, json)| {
+                let key = point_key(RESULTS_SEMANTICS_VERSION, json, rate, rep);
+                dir.join(format!("{key:016x}.json"))
+            });
             // A hit must parse back into SimResults; a corrupt or
             // truncated file falls through to recomputation (and is then
             // overwritten with a fresh copy).
@@ -1095,12 +1107,42 @@ mod tests {
     }
 
     #[test]
+    fn results_semantics_bump_misses_a_warm_cache() {
+        let dir = scratch_cache_dir("cache-semantics");
+        let sc = quick_scenario();
+        let runner = Runner::new().cache(Some(dir.clone()));
+        let baseline = runner.run(&sc).unwrap();
+        // Re-file every entry under the previous version's key: a cache
+        // warmed before the current results semantics.
+        let mut keyed = sc.clone();
+        keyed.name = String::new();
+        let json = keyed.to_json();
+        let old = RESULTS_SEMANTICS_VERSION - 1;
+        for p in &baseline.points {
+            for rep in 0..sc.replicates {
+                let file = |v| dir.join(format!("{:016x}.json", point_key(v, &json, p.rate, rep)));
+                std::fs::rename(file(RESULTS_SEMANTICS_VERSION), file(old)).unwrap();
+            }
+        }
+        let rerun = runner.run(&sc).unwrap();
+        assert!(
+            rerun
+                .points
+                .iter()
+                .all(|p| p.cache_hits == 0 && p.cache_misses == 1),
+            "entries of older semantics must not be served"
+        );
+        assert_eq!(rerun.to_csv(), baseline.to_csv());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn cache_keys_separate_seeds_but_ignore_names() {
         let base = quick_scenario();
         let key = |sc: &Scenario, rate: f64, rep: u32| {
             let mut keyed = sc.clone();
             keyed.name = String::new();
-            point_key(&keyed.to_json(), rate, rep)
+            point_key(RESULTS_SEMANTICS_VERSION, &keyed.to_json(), rate, rep)
         };
         let renamed = {
             let mut sc = base.clone();

@@ -7,8 +7,8 @@
 //! actions (injections, timers) plus run accounting (issued/retired
 //! requests, completion latencies, outstanding-window occupancy).
 //!
-//! Both engines drive the same driver through the same three touch
-//! points, in the same intra-cycle order:
+//! The kernel drives the driver through three touch points, in the same
+//! intra-cycle order under both time-advance policies:
 //!
 //! 1. **generate** — timers due this cycle fire ([`AppEvent::Timeout`]),
 //!    in node order; resulting injections enter the waiter queues before
@@ -33,7 +33,7 @@ use noc_telemetry::LogHistogram;
 use noc_topology::NodeId;
 use std::collections::HashMap;
 
-/// A network happening the engines record during `apply_moves` for the
+/// A network happening the kernel records during `apply_moves` for the
 /// driver to dispatch afterwards (in recording order).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ClosedDelivery {
@@ -51,7 +51,7 @@ pub(crate) enum ClosedDelivery {
 }
 
 /// An engine action requested by a protocol emission, performed by the
-/// engine that owns the resources (allocation, queues, event heap).
+/// kernel that owns the resources (allocation, queues, event queue).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Action {
     /// Inject a unicast `src → dst` carrying `payload`.
@@ -62,9 +62,7 @@ pub(crate) enum Action {
     },
     /// Start `src`'s configured multicast operation carrying `payload`.
     Multicast { src: NodeId, payload: Payload },
-    /// Wake `node` at cycle `at` (the cycle engine polls
-    /// [`ClosedLoopDriver::timer_at`]; the event engine schedules on its
-    /// heap).
+    /// Wake `node` at cycle `at` (scheduled on the kernel's event queue).
     Timer { node: NodeId, at: u64 },
 }
 
@@ -219,8 +217,8 @@ impl ClosedLoopDriver {
             .expect("completed op unknown to the driver");
     }
 
-    /// The cycle `node`'s pending timer fires, if any (the cycle engine's
-    /// per-cycle poll).
+    /// The cycle `node`'s pending timer fires, if any (checked against
+    /// the kernel's event queue in debug builds).
     pub(crate) fn timer_at(&self, node: NodeId) -> Option<u64> {
         self.timers[node.idx()]
     }

@@ -1,110 +1,140 @@
-//! The cycle-stepped wormhole engine — the reference oracle.
+//! The flit-level wormhole kernel: one implementation of the cycle, two
+//! time-advance policies.
 //!
 //! See the crate-level documentation for the node model and timing
-//! conventions. The engine state is a flat set of *channel virtual-channel*
+//! conventions. The kernel state is a flat set of *channel virtual-channel*
 //! (cv) resources; each cv is either free or owned by one message at one
 //! hop of its path, with a FIFO list of waiting headers — the
 //! non-preemptive FIFO arbitration of the paper's simulator (§4).
 //!
-//! Every cycle:
+//! A simulated cycle runs four phases:
 //!
-//! 1. **Generation** — each node's arrival stream ([`ArrivalStream`],
-//!    built from the workload's traffic spec — Poisson by default) may
-//!    emit a unicast (path from the precomputed table) or a multicast
-//!    operation (one stream per active injection port); new messages join
-//!    the injection channel's waiter queue (the "passive queue" in
-//!    creation-time order).
+//! 1. **Generation** — every event due this cycle pops off the kernel's
+//!    queue in node order: an open-loop arrival ([`ArrivalStream`], built
+//!    from the workload's traffic spec — Poisson by default) spawns a
+//!    unicast (path from the precomputed table) or a multicast operation
+//!    (one stream per active injection port), a closed-loop timer wakes
+//!    its protocol machine. New messages join the injection channel's
+//!    waiter queue (the "passive queue" in creation-time order).
 //! 2. **Selection** — each active physical channel picks at most one of its
 //!    cvs (round-robin) whose owner can move a flit, judged against the
 //!    *previous* cycle's counters (one-cycle credit loop).
 //! 3. **Application** — chosen flits traverse; headers entering a buffer
 //!    request the next channel; tails leaving a buffer release channels and
 //!    trigger absorptions (clone-to-sink at multicast targets, completion
-//!    at ejection).
+//!    at ejection). Closed-loop deliveries are dispatched right after.
 //! 4. **Grants** — released or newly requested free cvs are granted to the
 //!    FIFO head of their waiter queues.
 //!
-//! This engine advances *every* cycle, active or idle. That makes it slow
-//! at low load and trivially correct — exactly what a differential oracle
-//! should be. The production engine is [`crate::EventSimulator`], which
-//! reproduces this engine's runs bit-for-bit while skipping inert cycles.
+//! What differs between the two engines is only *which* cycles run those
+//! phases: the kernel's time-advance policy, fixed by the engine type
+//! ([`Engine`]'s `SKIP` parameter) when the kernel is built.
+//!
+//! * [`Simulator`] = `Engine<'_, false>` — the reference oracle: advances
+//!   to `cycle + 1`, every cycle, and never batches.
+//! * [`EventSimulator`] = `Engine<'_, true>` (the default engine) — jumps
+//!   over provably inert cycles and batches streaming spans; the policy
+//!   and the argument that it preserves every observable live in
+//!   `event_engine.rs`.
+//!
+//! Because both run the same phases on the same state, the differential
+//! suite (`tests/engine_equivalence.rs`) tests exactly the time-advance
+//! decision: skip versus step by one. The kernel itself is not generic,
+//! so one compiled copy of the phases serves both policies ([`Kernel::run`]
+//! branches on the policy once per simulated cycle): a kernel generic over
+//! the policy, instantiated for both engines in one crate, ran the skip
+//! policy measurably slower.
 
+use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
 use crate::config::SimConfig;
-use crate::engine_api::{audit_state, AuditInput, EngineAudit, SimEngine};
+use crate::engine_api::{EngineAudit, SimEngine};
 use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId};
 use crate::metrics::Metrics;
 use crate::plan::SimPlan;
 use crate::results::{EngineCounters, SimResults};
-use crate::schedule::{Arrival, ArrivalStream};
+use crate::schedule::{Arrival, ArrivalStream, EventQueue};
 use noc_app::{AppEvent, ClosedLoopSpec, NetEnv};
 use noc_topology::{ChannelKind, NodeId, Topology};
 use noc_workloads::Workload;
 use std::collections::HashSet;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// Invariant-checked access to a live message slot. Free functions over
-/// the slot table (not `&self` methods) so hot-loop call sites keep
-/// their disjoint field borrows; the panic names the violated engine
-/// invariant instead of the bare `unwrap` it replaces.
-#[inline]
-fn live_msg<'m>(msgs: &'m [Option<ActiveMsg>], id: MsgId, what: &str) -> &'m ActiveMsg {
-    match msgs.get(id as usize) {
-        Some(Some(msg)) => msg,
-        _ => bad_slot(id, what),
-    }
-}
+/// Deadlock watchdog: checked on multiples of `WATCHDOG_STRIDE`, firing
+/// after `WATCHDOG_WINDOW` move-free cycles with channels still held.
+/// With the dateline virtual channels it must never trigger; it exists to
+/// catch regressions in the deadlock-avoidance schemes.
+pub(crate) const WATCHDOG_STRIDE: u64 = 1024;
+pub(crate) const WATCHDOG_WINDOW: u64 = 10_000;
 
-/// Mutable counterpart of [`live_msg`].
-#[inline]
-fn live_msg_mut<'m>(msgs: &'m mut [Option<ActiveMsg>], id: MsgId, what: &str) -> &'m mut ActiveMsg {
-    match msgs.get_mut(id as usize) {
-        Some(Some(msg)) => msg,
-        _ => bad_slot(id, what),
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn bad_slot(id: MsgId, what: &str) -> ! {
-    panic!("engine invariant violated: {what} references freed message slot {id}")
-}
-
-/// The cycle-stepped simulator. Borrowing the topology and workload keeps
-/// runs cheap to set up inside parameter sweeps; the precomputed
-/// [`SimPlan`] can additionally be shared across runs.
-pub struct Simulator<'a> {
+/// The flit-level wormhole kernel: all simulation state and the one
+/// implementation of the cycle. It is built only through an [`Engine`],
+/// whose type fixes the time-advance policy; its methods are reached
+/// through the engine ([`Simulator`] or [`EventSimulator`]).
+pub struct Kernel<'a> {
+    /// Time-advance policy, fixed at construction: skip inert cycles and
+    /// batch streaming spans (`true`), or step every cycle (`false`).
+    skip: bool,
     topo: &'a dyn Topology,
     wl: &'a Workload,
-    cfg: SimConfig,
-    plan: Arc<SimPlan>,
+    pub(crate) cfg: SimConfig,
+    pub(crate) plan: Arc<SimPlan>,
 
     // --- dynamic state ---
-    cycle: u64,
-    cvs: Vec<CvState>,
+    pub(crate) cycle: u64,
+    pub(crate) cvs: Vec<CvState>,
     /// Round-robin pointer per physical channel.
     rr: Vec<u8>,
     /// Physical channels with at least one owned cv.
-    active: Vec<u32>,
+    pub(crate) active: Vec<u32>,
     active_flag: Vec<bool>,
-    msgs: Vec<Option<ActiveMsg>>,
-    free_msgs: Vec<MsgId>,
-    ops: Vec<MulticastOp>,
-    free_ops: Vec<OpId>,
+    /// Owned-cv count per physical channel, maintained on grant/release
+    /// (the streaming scan's single-ownership test; audited).
+    pub(crate) owned_count: Vec<u8>,
+    /// Live messages in a generation-tagged slab (ids stay `u32`, so cv
+    /// owners/waiters are plain integers; stale ids panic with the
+    /// violated invariant by name).
+    pub(crate) msgs: Arena<ActiveMsg>,
+    /// Live multicast operations, same layout.
+    ops: Arena<MulticastOp>,
     ops_allocated: u64,
     ops_completed: u64,
-    /// Per-node arrival streams (traffic-spec driven; Poisson default).
-    arrivals: Vec<ArrivalStream>,
     /// Messages waiting at injection channels (backlog).
     inj_backlog: usize,
     peak_backlog: usize,
     /// Tagged traffic still in flight.
-    tagged_outstanding: u64,
+    pub(crate) tagged_outstanding: u64,
     /// Last cycle on which any flit moved (deadlock watchdog).
-    last_move_cycle: u64,
+    pub(crate) last_move_cycle: u64,
+
+    // --- event scheduling ---
+    /// Per-node arrival streams (traffic-spec driven; Poisson default).
+    arrivals: Vec<ArrivalStream>,
+    /// Min-queue of `(cycle, node)`: the next arrival of every open-loop
+    /// source, or the pending protocol timers of a closed-loop run.
+    /// Same-cycle entries pop in node order.
+    pub(crate) queue: EventQueue,
+    /// The last simulated cycle moved no flit and granted no owner: the
+    /// state is a fixpoint until the next event (see `event_engine.rs`).
+    pub(crate) stalled: bool,
+    /// Consecutive failed streaming-scan attempts (skip policy only).
+    pub(crate) span_fail_streak: u32,
+    /// Eligible cycles left before the next streaming-scan attempt.
+    pub(crate) span_cooldown: u32,
+    /// Work counters surfaced through
+    /// [`SimResults::engine`](crate::results::SimResults::engine).
+    pub(crate) counters: EngineCounters,
 
     // --- scratch (reused across cycles) ---
-    moves: Vec<(MsgId, u16)>,
+    /// The cycle's move set; kept after `apply_moves` for the streaming
+    /// scan (selection clears it).
+    pub(crate) moves: Vec<(MsgId, u16)>,
+    /// Per-cv "moved this cycle" marks, set and cleared by the streaming
+    /// scan only.
+    pub(crate) cv_moved: Vec<bool>,
+    /// Per-channel "moved this cycle" marks, same lifetime.
+    pub(crate) channel_moved: Vec<bool>,
     regrant: Vec<u32>,
 
     // --- closed-loop protocol drive (None on open-loop runs) ---
@@ -115,36 +145,87 @@ pub struct Simulator<'a> {
     actions: Vec<Action>,
 
     // --- statistics ---
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
 }
 
-impl<'a> Simulator<'a> {
+/// A simulation engine: the [`Kernel`] under the time-advance policy
+/// `SKIP` — `true` skips inert cycles and batches streaming spans
+/// ([`EventSimulator`]), `false` steps every cycle ([`Simulator`]). Runs
+/// of the two are bit-identical under a shared seed. Everything but
+/// construction is the kernel's (the engine derefs to it).
+///
+/// Borrowing the topology and workload keeps runs cheap to set up inside
+/// parameter sweeps; the precomputed [`SimPlan`] can additionally be
+/// shared across runs and between the two policies.
+pub struct Engine<'a, const SKIP: bool>(Kernel<'a>);
+
+/// The cycle-stepped reference oracle: the kernel advancing every cycle.
+pub type Simulator<'a> = Engine<'a, false>;
+
+/// The event-driven engine (the default): the kernel skipping inert
+/// cycles and batching streaming spans.
+pub type EventSimulator<'a> = Engine<'a, true>;
+
+impl<'a, const SKIP: bool> Engine<'a, SKIP> {
     /// Build a simulator for `topo` under `wl`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid or if the workload does not
     /// fit the topology (see [`crate::plan::PlanError`]); use
-    /// [`SimPlan::build`] + [`Simulator::with_plan`] for typed errors.
+    /// [`SimPlan::build`] + [`Engine::with_plan`] for typed errors.
     pub fn new(topo: &'a dyn Topology, wl: &'a Workload, cfg: SimConfig) -> Self {
         let plan = SimPlan::build(topo, wl).unwrap_or_else(|e| panic!("{e}"));
-        Simulator::with_plan(topo, wl, cfg, plan)
+        Engine::with_plan(topo, wl, cfg, plan)
     }
 
     /// Build a simulator on a prebuilt [`SimPlan`] (shared across the runs
-    /// of a sweep, or with the event engine of a differential pair).
+    /// of a sweep, or between the two policies of a differential pair).
     pub fn with_plan(
         topo: &'a dyn Topology,
         wl: &'a Workload,
         cfg: SimConfig,
         plan: Arc<SimPlan>,
     ) -> Self {
+        Engine(Kernel::build(topo, wl, cfg, plan, SKIP))
+    }
+}
+
+impl<'a, const SKIP: bool> Deref for Engine<'a, SKIP> {
+    type Target = Kernel<'a>;
+
+    fn deref(&self) -> &Kernel<'a> {
+        &self.0
+    }
+}
+
+impl<const SKIP: bool> DerefMut for Engine<'_, SKIP> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl<'a> Kernel<'a> {
+    fn build(
+        topo: &'a dyn Topology,
+        wl: &'a Workload,
+        cfg: SimConfig,
+        plan: Arc<SimPlan>,
+        skip: bool,
+    ) -> Self {
         cfg.validate().expect("invalid simulator configuration");
         plan.assert_matches(topo, wl);
         let arrivals = ArrivalStream::build_all(wl, plan.n, cfg.seed);
+        let mut queue = EventQueue::with_capacity(plan.n);
+        for (node, stream) in arrivals.iter().enumerate() {
+            if stream.next_arrival() != u64::MAX {
+                queue.push(stream.next_arrival(), node as u32);
+            }
+        }
         let channels = plan.num_channels;
         let metrics = Metrics::new(&cfg, plan.n, channels, !plan.is_lazy());
-        Simulator {
+        Kernel {
+            skip,
             topo,
             wl,
             cfg,
@@ -153,18 +234,24 @@ impl<'a> Simulator<'a> {
             rr: vec![0; channels],
             active: Vec::with_capacity(channels),
             active_flag: vec![false; channels],
-            msgs: Vec::new(),
-            free_msgs: Vec::new(),
-            ops: Vec::new(),
-            free_ops: Vec::new(),
+            owned_count: vec![0; channels],
+            msgs: Arena::with_capacity(plan.spawn_wave_hint()),
+            ops: Arena::with_capacity(plan.num_nodes()),
             ops_allocated: 0,
             ops_completed: 0,
-            arrivals,
             inj_backlog: 0,
             peak_backlog: 0,
             tagged_outstanding: 0,
             last_move_cycle: 0,
+            arrivals,
+            queue,
+            stalled: false,
+            span_fail_streak: 0,
+            span_cooldown: 0,
+            counters: EngineCounters::default(),
             moves: Vec::new(),
+            cv_moved: vec![false; plan.num_cvs],
+            channel_moved: vec![false; channels],
             regrant: Vec::new(),
             closed: None,
             arrived: Vec::new(),
@@ -175,14 +262,15 @@ impl<'a> Simulator<'a> {
     }
 
     /// Install a closed-loop protocol: the run is then driven by the
-    /// per-node machines instead of the open-loop arrival streams.
+    /// per-node machines instead of the open-loop arrival streams, and
+    /// the event queue carries the protocol's timers.
     ///
     /// Must be called before any cycle is simulated, on a zero-rate
     /// workload (the protocol is the only traffic source).
     pub fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
         assert_eq!(self.cycle, 0, "closed-loop install after the run started");
         assert!(
-            self.arrivals.iter().all(|s| s.next_arrival() == u64::MAX),
+            self.queue.is_empty(),
             "closed-loop runs require a zero-rate workload"
         );
         let env = NetEnv {
@@ -199,25 +287,9 @@ impl<'a> Simulator<'a> {
         self.plan.cv_index(hop)
     }
 
-    fn alloc_msg(&mut self, msg: ActiveMsg) -> MsgId {
-        if let Some(id) = self.free_msgs.pop() {
-            self.msgs[id as usize] = Some(msg);
-            id
-        } else {
-            self.msgs.push(Some(msg));
-            (self.msgs.len() - 1) as MsgId
-        }
-    }
-
     fn alloc_op(&mut self, op: MulticastOp) -> OpId {
         self.ops_allocated += 1;
-        if let Some(id) = self.free_ops.pop() {
-            self.ops[id as usize] = op;
-            id
-        } else {
-            self.ops.push(op);
-            (self.ops.len() - 1) as OpId
-        }
+        self.ops.insert(op)
     }
 
     fn activate(&mut self, channel: usize) {
@@ -230,9 +302,7 @@ impl<'a> Simulator<'a> {
     /// Enqueue a freshly generated message at the head channel of its
     /// path (`node` = the injecting source, for the trace).
     fn enqueue(&mut self, id: MsgId, node: u32) {
-        let hop0 = live_msg(&self.msgs, id, "freshly enqueued message")
-            .path
-            .hops[0];
+        let hop0 = self.msgs.get(id, "freshly enqueued message").path.hops[0];
         let cv = self.cv_index(hop0) as usize;
         self.cvs[cv].waiters.push_back((id, 0));
         self.inj_backlog += 1;
@@ -241,61 +311,96 @@ impl<'a> Simulator<'a> {
         self.metrics.trace_inject(self.cycle, node);
     }
 
-    /// Spawn the message(s) of one arrival at `node` this cycle.
-    fn spawn(&mut self, node: usize, arrival: Arrival, tagging: bool) {
-        let len = self.wl.msg_len;
-        let gen = self.cycle;
-        match arrival {
-            Arrival::Multicast => {
-                let op = self.alloc_op(MulticastOp {
-                    src: NodeId(node as u32),
-                    gen,
-                    remaining: self.plan.op_targets(node),
-                    last_absorb: gen,
-                    tagged: tagging,
-                });
-                if tagging {
-                    self.metrics.multicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                }
-                for si in 0..self.plan.streams(node).len() {
-                    let (path, absorbs) = {
-                        let pre = &self.plan.streams(node)[si];
-                        (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-                    };
-                    let id =
-                        self.alloc_msg(ActiveMsg::stream(path, len, gen, tagging, op, absorbs));
-                    self.metrics.total_generated += 1;
-                    self.enqueue(id, node as u32);
-                }
-            }
-            Arrival::Unicast(dst) => {
-                let path = self.plan.unicast_path(NodeId(node as u32), dst);
-                let id = self.alloc_msg(ActiveMsg::unicast(path, len, gen, tagging));
-                if tagging {
-                    self.metrics.unicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                }
-                self.metrics.total_generated += 1;
-                self.enqueue(id, node as u32);
-            }
+    /// Generate and enqueue a unicast `src → dst` this cycle; `tagged`
+    /// messages join the measured population.
+    fn spawn_unicast(&mut self, src: NodeId, dst: NodeId, tagged: bool) -> MsgId {
+        let path = self.plan.unicast_path(src, dst);
+        let id = self.msgs.insert(ActiveMsg::unicast(
+            path,
+            self.wl.msg_len,
+            self.cycle,
+            tagged,
+        ));
+        if tagged {
+            self.metrics.unicast_injected += 1;
+            self.tagged_outstanding += 1;
         }
+        self.metrics.total_generated += 1;
+        self.enqueue(id, src.0);
+        id
     }
 
-    /// Phase 1: message generation at every node (in node order — the
-    /// deterministic spawn order both engines share).
+    /// Start `src`'s multicast operation this cycle: one message per
+    /// port stream, each reported to `on_stream` after it is enqueued.
+    fn spawn_multicast(
+        &mut self,
+        src: NodeId,
+        tagged: bool,
+        mut on_stream: impl FnMut(MsgId),
+    ) -> OpId {
+        let node = src.idx();
+        let gen = self.cycle;
+        let op = self.alloc_op(MulticastOp {
+            src,
+            gen,
+            remaining: self.plan.op_targets(node),
+            last_absorb: gen,
+            tagged,
+        });
+        if tagged {
+            self.metrics.multicast_injected += 1;
+            self.tagged_outstanding += 1;
+        }
+        for si in 0..self.plan.streams(node).len() {
+            let (path, absorbs) = {
+                let pre = &self.plan.streams(node)[si];
+                (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
+            };
+            let msg = ActiveMsg::stream(path, self.wl.msg_len, gen, tagged, op, absorbs);
+            let id = self.msgs.insert(msg);
+            self.metrics.total_generated += 1;
+            self.enqueue(id, src.0);
+            on_stream(id);
+        }
+        op
+    }
+
+    /// Phase 1: pop every event due this cycle (node-ascending for ties).
+    /// Open loop: spawn the node's arrival and reschedule its source.
+    /// Closed loop: fire the node's timer, then perform the actions.
     fn generate(&mut self, tagging: bool) {
-        for node in 0..self.plan.n {
-            if self.arrivals[node].next_arrival() != self.cycle {
+        while let Some(node) = self.queue.pop_due(self.cycle) {
+            self.counters.events_popped += 1;
+            let id = NodeId(node);
+            if let Some(driver) = self.closed.as_mut() {
+                debug_assert_eq!(driver.timer_at(id), Some(self.cycle));
+                driver.dispatch(self.cycle, id, AppEvent::Timeout, &mut self.actions);
                 continue;
             }
-            let arrival = self.arrivals[node].pop(self.wl, self.plan.n, NodeId(node as u32));
-            self.spawn(node, arrival, tagging);
+            let n = node as usize;
+            debug_assert_eq!(self.arrivals[n].next_arrival(), self.cycle);
+            match self.arrivals[n].pop(self.wl, self.plan.n, id) {
+                Arrival::Unicast(dst) => {
+                    self.spawn_unicast(id, dst, tagging);
+                }
+                Arrival::Multicast => {
+                    self.spawn_multicast(id, tagging, |_| {});
+                }
+            }
+            let next = self.arrivals[n].next_arrival();
+            if next != u64::MAX {
+                self.queue.push(next, node);
+            }
+        }
+        if self.closed.is_some() {
+            self.closed_perform();
         }
     }
 
     /// Phase 2: pick at most one flit move per active physical channel,
-    /// judged on the previous cycle's counters.
+    /// judged on the previous cycle's counters. Round-robin start, FIFO
+    /// tie-breaks and the lazy-deactivation order all feed the order
+    /// statistics are recorded in.
     fn select_moves(&mut self) {
         self.moves.clear();
         let buffer_depth = self.cfg.buffer_depth;
@@ -314,7 +419,7 @@ impl<'a> Simulator<'a> {
                 if chosen.is_some() {
                     continue;
                 }
-                let msg = live_msg(&self.msgs, m, "cv owner");
+                let msg = self.msgs.get(m, "cv owner");
                 let h = h as usize;
                 // Supply: the next flit must be available upstream.
                 let supply = if h == 0 {
@@ -332,8 +437,8 @@ impl<'a> Simulator<'a> {
                 chosen = Some(vc);
             }
             if let Some(vc) = chosen {
-                let cv = &self.cvs[(base + vc as u32) as usize];
-                let (m, h) = cv
+                let cv_idx = base + vc as u32;
+                let (m, h) = self.cvs[cv_idx as usize]
                     .owner
                     .expect("selection invariant violated: chosen vc lost its owner mid-cycle");
                 self.moves.push((m, h));
@@ -349,18 +454,25 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Phase 3: apply the selected moves; handle requests, releases,
-    /// absorptions and completions.
+    /// Release cv `cv` of physical channel `channel`.
+    fn release(&mut self, cv: usize, channel: usize) {
+        self.cvs[cv].owner = None;
+        self.owned_count[channel] -= 1;
+        self.regrant.push(cv as u32);
+        self.metrics.trace_release(self.cycle, channel);
+    }
+
+    /// Phase 3: apply the selected moves (requests, releases, absorptions,
+    /// completions) in selection order — the order statistics accumulate
+    /// in.
     fn apply_moves(&mut self, measuring: bool) {
         let now = self.cycle;
-        // Take the moves buffer to appease the borrow checker; restored at
-        // the end so the allocation is reused.
         let moves = std::mem::take(&mut self.moves);
         for &(mid, h16) in &moves {
             let h = h16 as usize;
             // --- advance the flit ---
             let (channel_of_h, header_arrived, tail_passed, prev_hop, next_hop) = {
-                let msg = live_msg_mut(&mut self.msgs, mid, "moving flit's message");
+                let msg = self.msgs.get_mut(mid, "moving flit's message");
                 msg.traversed[h] += 1;
                 let t = msg.traversed[h];
                 (
@@ -386,121 +498,104 @@ impl<'a> Simulator<'a> {
                 }
             }
 
-            // --- tail traversed hop h ---
-            if tail_passed {
-                // The tail left buffer(h-1): release that channel.
-                if let Some(prev) = prev_hop {
-                    let cv = self.cv_index(prev) as usize;
-                    debug_assert_eq!(self.cvs[cv].owner, Some((mid, (h - 1) as u16)));
-                    self.cvs[cv].owner = None;
-                    self.regrant.push(cv as u32);
-                    self.metrics.trace_release(now, prev.channel.idx());
-                }
-                // Absorptions scheduled at this hop (multicast targets; the
-                // final target's completion hop is the ejection hop).
+            if !tail_passed {
+                continue;
+            }
+            // --- tail traversed hop h: it left buffer(h-1) ---
+            if let Some(prev) = prev_hop {
+                let cv = self.cv_index(prev) as usize;
+                debug_assert_eq!(self.cvs[cv].owner, Some((mid, (h - 1) as u16)));
+                self.release(cv, prev.channel.idx());
+            }
+            // Absorptions scheduled at this hop (multicast targets; the
+            // final target's completion hop is the ejection hop).
+            let mut op_done: Option<OpId> = None;
+            let closed = self.closed.is_some();
+            let msg = self.msgs.get_mut(mid, "absorbing stream's message");
+            let (tagged, gen, is_last) = (msg.tagged, msg.gen, h == msg.last_hop());
+            if let Some(stream) = msg.multicast.as_mut() {
                 let mut absorbed_here = 0u32;
-                let mut op_done: Option<OpId> = None;
-                let mut stream_tagged = false;
-                let mut stream_gen = 0u64;
+                while (stream.next_absorb as usize) < stream.absorbs.len()
+                    && stream.absorbs[stream.next_absorb as usize].0 == h16
                 {
-                    let closed = self.closed.is_some();
-                    let msg = live_msg_mut(&mut self.msgs, mid, "absorbing stream's message");
-                    if let Some(stream) = msg.multicast.as_mut() {
-                        while (stream.next_absorb as usize) < stream.absorbs.len()
-                            && stream.absorbs[stream.next_absorb as usize].0 == h16
-                        {
-                            let target = stream.absorbs[stream.next_absorb as usize].1;
-                            if closed {
-                                self.arrived.push(ClosedDelivery::Absorb {
-                                    op: stream.op,
-                                    target,
-                                });
-                            }
-                            self.metrics.trace_absorb(now, target.0);
-                            stream.next_absorb += 1;
-                            absorbed_here += 1;
-                        }
-                        if absorbed_here > 0 {
-                            let op = &mut self.ops[stream.op as usize];
-                            op.remaining -= absorbed_here;
-                            op.last_absorb = now;
-                            if op.remaining == 0 {
-                                op_done = Some(stream.op);
-                            }
-                        }
-                        stream_tagged = msg.tagged;
-                        stream_gen = msg.gen;
+                    let target = stream.absorbs[stream.next_absorb as usize].1;
+                    if closed {
+                        self.arrived.push(ClosedDelivery::Absorb {
+                            op: stream.op,
+                            target,
+                        });
                     }
+                    self.metrics.trace_absorb(now, target.0);
+                    stream.next_absorb += 1;
+                    absorbed_here += 1;
                 }
-                if let Some(opid) = op_done {
-                    self.ops_completed += 1;
-                    let op = &self.ops[opid as usize];
-                    self.metrics.trace_op_done(now, op.src.0);
-                    if op.tagged {
-                        self.metrics.record_op_delivery(op);
-                        self.tagged_outstanding -= 1;
+                if absorbed_here > 0 {
+                    let op = self.ops.get_mut(stream.op, "stream's multicast op");
+                    op.remaining -= absorbed_here;
+                    op.last_absorb = now;
+                    if op.remaining == 0 {
+                        op_done = Some(stream.op);
                     }
-                    self.free_ops.push(opid);
-                    if self.closed.is_some() {
-                        self.arrived.push(ClosedDelivery::OpDone(opid));
-                    }
-                }
-
-                // Message fully absorbed at the ejection hop?
-                let is_last = {
-                    let msg = live_msg(&self.msgs, mid, "tail-moving message");
-                    h == msg.last_hop()
-                };
-                if is_last {
-                    // Release the ejection channel itself.
-                    let msg = live_msg(&self.msgs, mid, "tail-moving message");
-                    let eject = msg.path.hops[h].channel.idx();
-                    let cv = self.cv_index(msg.path.hops[h]) as usize;
-                    debug_assert_eq!(self.cvs[cv].owner, Some((mid, h16)));
-                    self.cvs[cv].owner = None;
-                    self.regrant.push(cv as u32);
-                    self.metrics.total_absorbed += 1;
-                    self.metrics.trace_release(now, eject);
-
-                    let (tagged, gen, is_unicast, dst) = {
-                        let msg = live_msg(&self.msgs, mid, "absorbed message");
-                        (msg.tagged, msg.gen, msg.multicast.is_none(), msg.path.dst)
-                    };
-                    if is_unicast {
-                        // Multicast targets trace their absorbs in the
-                        // stream's absorb list above; unicasts here.
-                        self.metrics.trace_absorb(now, dst.0);
-                        if tagged {
-                            self.metrics.record_unicast_delivery(now, gen);
-                            self.tagged_outstanding -= 1;
-                        }
-                        if self.closed.is_some() {
-                            self.arrived.push(ClosedDelivery::Unicast(mid));
-                        }
-                    } else if stream_tagged {
-                        self.metrics.record_stream_delivery(now, stream_gen);
-                    }
-                    // Free the slot.
-                    self.msgs[mid as usize] = None;
-                    self.free_msgs.push(mid);
                 }
             }
+            let is_unicast = msg.multicast.is_none();
+            let eject = msg.path.hops[h];
+            let dst = msg.path.dst;
+            if let Some(opid) = op_done {
+                self.ops_completed += 1;
+                let op = self.ops.get(opid, "completed multicast op");
+                self.metrics.trace_op_done(now, op.src.0);
+                if op.tagged {
+                    self.metrics.record_op_delivery(op);
+                    self.tagged_outstanding -= 1;
+                }
+                self.ops.free(opid, "completed multicast op");
+                if closed {
+                    self.arrived.push(ClosedDelivery::OpDone(opid));
+                }
+            }
+
+            // Message fully absorbed at the ejection hop?
+            if !is_last {
+                continue;
+            }
+            let cv = self.cv_index(eject) as usize;
+            debug_assert_eq!(self.cvs[cv].owner, Some((mid, h16)));
+            self.metrics.total_absorbed += 1;
+            self.release(cv, eject.channel.idx());
+            if is_unicast {
+                // Multicast targets trace their absorbs in the stream's
+                // absorb list above; unicasts here.
+                self.metrics.trace_absorb(now, dst.0);
+                if tagged {
+                    self.metrics.record_unicast_delivery(now, gen);
+                    self.tagged_outstanding -= 1;
+                }
+                if closed {
+                    self.arrived.push(ClosedDelivery::Unicast(mid));
+                }
+            } else if tagged {
+                self.metrics.record_stream_delivery(now, gen);
+            }
+            self.msgs.free(mid, "absorbed message");
         }
         self.moves = moves;
-        self.moves.clear();
     }
 
-    /// Phase 4: grant free channels to FIFO-first waiters.
-    fn grant(&mut self) {
+    /// Phase 4: grant free channels to FIFO-first waiters; returns how many
+    /// new owners were installed (zero feeds the stall detector).
+    fn grant(&mut self) -> usize {
+        let mut granted = 0usize;
         let regrant = std::mem::take(&mut self.regrant);
         for &cv_u in &regrant {
             let cv = cv_u as usize;
             if self.cvs[cv].owner.is_none() {
                 if let Some((m, h)) = self.cvs[cv].waiters.pop_front() {
                     self.cvs[cv].owner = Some((m, h));
-                    // Find the physical channel of this cv to activate it.
-                    let msg = live_msg(&self.msgs, m, "granted waiter");
+                    granted += 1;
+                    let msg = self.msgs.get(m, "granted waiter");
                     let channel = msg.path.hops[h as usize].channel.idx();
+                    self.owned_count[channel] += 1;
                     self.activate(channel);
                     self.metrics.trace_grant(self.cycle, channel);
                 }
@@ -508,374 +603,264 @@ impl<'a> Simulator<'a> {
         }
         self.regrant = regrant;
         self.regrant.clear();
+        granted
     }
 
-    /// Advance one cycle. `tagging` controls whether newly generated
-    /// messages join the measured population.
-    fn step(&mut self, tagging: bool, measuring: bool) {
-        self.cycle += 1;
+    /// Simulate exactly cycle `target` (every cycle strictly between the
+    /// current one and `target` is inert — trivially so when stepping)
+    /// and update the stall detector. Returns the number of new grants.
+    fn simulate_cycle(&mut self, target: u64, tagging: bool, measuring: bool) -> usize {
+        debug_assert!(target > self.cycle);
+        self.cycle = target;
+        self.counters.simulated_cycles += 1;
         self.generate(tagging);
         self.select_moves();
-        if !self.moves.is_empty() {
+        let moved = !self.moves.is_empty();
+        if moved {
             self.last_move_cycle = self.cycle;
-        } else if !self.active.is_empty() {
-            // Traffic holds channels but nothing can move this cycle.
-            self.metrics.trace_stall(self.cycle);
         }
         self.apply_moves(measuring);
-        self.grant();
+        // Deliveries dispatch inside the cycle (between application and
+        // grant), so the machines' injections join the waiter queues in
+        // the same cycle the absorptions landed.
+        self.closed_deliver();
+        let granted = self.grant();
+        self.stalled = !moved && granted == 0;
+        if self.stalled {
+            self.counters.stall_fixpoints += 1;
+            if !self.active.is_empty() {
+                self.metrics.trace_stall(self.cycle);
+            }
+        }
+        granted
     }
 
-    /// Deadlock audit: flits exist in the network (owned channels) but
-    /// nothing has moved for `window` cycles. With the dateline virtual
-    /// channels this must never trigger; it exists to catch regressions in
-    /// the deadlock-avoidance scheme.
-    fn deadlocked(&self, window: u64) -> bool {
-        self.cycle.saturating_sub(self.last_move_cycle) > window && !self.active.is_empty()
+    /// Channels are held but nothing has moved for the watchdog window.
+    fn watchdog_fires(&self) -> bool {
+        self.cycle.saturating_sub(self.last_move_cycle) > WATCHDOG_WINDOW && !self.active.is_empty()
+    }
+
+    /// Does the run end at the current cycle? `Some((saturated,
+    /// deadlocked))` if so. Open loop ends once the measurement window is
+    /// over and every tagged message is delivered, closed loop at protocol
+    /// quiescence; the drain deadline, the backlog limit and the deadlock
+    /// watchdog are the safety nets of both.
+    fn stop_reason(&self, measure_end: u64, deadline: u64) -> Option<(bool, bool)> {
+        let done = match &self.closed {
+            Some(driver) => self.tagged_outstanding == 0 && driver.quiescent(),
+            None => self.cycle >= measure_end && self.tagged_outstanding == 0,
+        };
+        if done {
+            return Some((false, false));
+        }
+        if self.cycle >= deadline {
+            return Some((self.closed.is_some() || self.tagged_outstanding > 0, false));
+        }
+        if self.inj_backlog > self.cfg.backlog_limit {
+            return Some((true, false));
+        }
+        if self.cycle.is_multiple_of(WATCHDOG_STRIDE) && self.watchdog_fires() {
+            return Some((true, true));
+        }
+        None
     }
 
     // ------------------------------------------------------------------
-    // Closed-loop drive: the protocol machines are the traffic source.
+    // Closed-loop drive: the protocol machines are the traffic source and
+    // the event queue (unused by arrivals: closed-loop workloads are
+    // zero-rate) carries their timers.
     // ------------------------------------------------------------------
+
+    fn driver(&mut self) -> &mut ClosedLoopDriver {
+        self.closed.as_mut().expect("closed-loop driver present")
+    }
 
     /// Dispatch [`AppEvent::Start`] to every machine in node order and
     /// perform the resulting injections (eligible to move next cycle,
     /// like any cycle-0 arrival).
     fn closed_start(&mut self) {
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
+        let driver = self.closed.as_mut().expect("closed-loop driver present");
         for node in 0..self.plan.n {
             driver.dispatch(
                 self.cycle,
                 NodeId(node as u32),
                 AppEvent::Start,
-                &mut actions,
+                &mut self.actions,
             );
         }
-        self.closed = Some(driver);
-        self.actions = actions;
         self.closed_perform();
         self.grant();
     }
 
-    /// Closed-loop generation phase: fire every timer due this cycle, in
-    /// node order, and perform the resulting actions.
-    fn closed_generate(&mut self) {
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
-        for node in 0..self.plan.n {
-            let node = NodeId(node as u32);
-            if driver.timer_at(node) == Some(self.cycle) {
-                driver.dispatch(self.cycle, node, AppEvent::Timeout, &mut actions);
-            }
-        }
-        self.closed = Some(driver);
-        self.actions = actions;
-        self.closed_perform();
-    }
-
     /// Dispatch every absorption `apply_moves` recorded this cycle (in
-    /// absorption order) and perform the resulting actions; new
-    /// injections enqueue before the grant phase.
+    /// absorption order) and perform the resulting actions.
     fn closed_deliver(&mut self) {
         if self.arrived.is_empty() {
             return;
         }
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
-        let arrived = std::mem::take(&mut self.arrived);
-        for &d in &arrived {
+        let driver = self.closed.as_mut().expect("closed-loop driver present");
+        for d in self.arrived.drain(..) {
             match d {
                 ClosedDelivery::Unicast(mid) => {
                     let (dst, payload) = driver.unicast_delivered(mid);
-                    driver.dispatch(self.cycle, dst, AppEvent::Delivery(payload), &mut actions);
+                    let event = AppEvent::Delivery(payload);
+                    driver.dispatch(self.cycle, dst, event, &mut self.actions);
                 }
                 ClosedDelivery::Absorb { op, target } => {
-                    let payload = driver.absorb_payload(op);
-                    driver.dispatch(
-                        self.cycle,
-                        target,
-                        AppEvent::Delivery(payload),
-                        &mut actions,
-                    );
+                    let event = AppEvent::Delivery(driver.absorb_payload(op));
+                    driver.dispatch(self.cycle, target, event, &mut self.actions);
                 }
                 ClosedDelivery::OpDone(op) => driver.op_done(op),
             }
         }
-        self.arrived = arrived;
-        self.arrived.clear();
-        self.closed = Some(driver);
-        self.actions = actions;
         self.closed_perform();
     }
 
     /// Perform the pending protocol actions: allocate and enqueue the
     /// requested messages (all tagged — closed-loop statistics cover the
-    /// whole run). Timers need no engine state here: the cycle engine
-    /// polls the driver's timer table each cycle.
+    /// whole run) and schedule timers on the event queue.
     fn closed_perform(&mut self) {
-        let actions = std::mem::take(&mut self.actions);
-        let len = self.wl.msg_len;
-        let gen = self.cycle;
-        for &action in &actions {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
             match action {
                 Action::Unicast { src, dst, payload } => {
-                    let path = self.plan.unicast_path(src, dst);
-                    let id = self.alloc_msg(ActiveMsg::unicast(path, len, gen, true));
-                    self.metrics.unicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                    self.metrics.total_generated += 1;
-                    self.enqueue(id, src.0);
-                    self.closed
-                        .as_mut()
-                        .expect("closed-loop driver present")
-                        .note_unicast(id, dst, payload);
+                    let id = self.spawn_unicast(src, dst, true);
+                    self.driver().note_unicast(id, dst, payload);
                 }
                 Action::Multicast { src, payload } => {
-                    let node = src.idx();
                     assert!(
-                        !self.plan.streams(node).is_empty(),
+                        !self.plan.streams(src.idx()).is_empty(),
                         "protocol multicast from a source with no streams"
                     );
-                    let op = self.alloc_op(MulticastOp {
-                        src,
-                        gen,
-                        remaining: self.plan.op_targets(node),
-                        last_absorb: gen,
-                        tagged: true,
-                    });
-                    self.metrics.multicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                    for si in 0..self.plan.streams(node).len() {
-                        let (path, absorbs) = {
-                            let pre = &self.plan.streams(node)[si];
-                            (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-                        };
-                        let id =
-                            self.alloc_msg(ActiveMsg::stream(path, len, gen, true, op, absorbs));
-                        self.metrics.total_generated += 1;
-                        self.enqueue(id, node as u32);
-                    }
-                    self.closed
-                        .as_mut()
-                        .expect("closed-loop driver present")
-                        .note_multicast(op, payload);
+                    let op = self.spawn_multicast(src, true, |_| {});
+                    self.driver().note_multicast(op, payload);
                 }
-                Action::Timer { .. } => {}
+                Action::Timer { node, at } => self.queue.push(at, node.0),
             }
         }
         self.actions = actions;
-        self.actions.clear();
     }
 
-    /// One closed-loop cycle: timers → selection → application →
-    /// delivery dispatch → grants. Deliveries dispatch *inside* the
-    /// cycle (between application and grant) so the machines' injections
-    /// join the waiter queues in the same cycle the absorptions landed —
-    /// on both engines, since both order the phases identically.
-    fn step_closed(&mut self) {
-        self.cycle += 1;
-        self.closed_generate();
-        self.select_moves();
-        if !self.moves.is_empty() {
-            self.last_move_cycle = self.cycle;
-        } else if !self.active.is_empty() {
-            self.metrics.trace_stall(self.cycle);
-        }
-        self.apply_moves(true);
-        self.closed_deliver();
-        self.grant();
-    }
-
-    /// The protocol has fully quiesced: every machine done, nothing in
-    /// flight anywhere.
-    fn closed_quiescent(&self) -> bool {
-        self.tagged_outstanding == 0
-            && self
-                .closed
-                .as_ref()
-                .expect("closed-loop driver present")
-                .quiescent()
-    }
-
-    /// Closed-loop run loop: no warmup or measurement window — the run
-    /// ends at protocol quiescence, with the deadline, backlog and
-    /// watchdog breaks as safety nets (all checked at the top, so both
-    /// engines evaluate them on exactly the cycles they simulate).
-    fn run_closed(&mut self) -> SimResults {
+    /// Run to completion and produce results. The observable trajectory
+    /// (break cycle, flags, every statistic) is the same under both
+    /// policies; the skip policy evaluates it only on cycles of interest.
+    pub fn run(&mut self) -> SimResults {
+        let warmup = self.cfg.warmup_cycles;
+        let measure_end = self.cfg.measure_end();
         let deadline = self.cfg.deadline();
-        let mut saturated = false;
-        let mut deadlocked = false;
-        self.closed_start();
-        loop {
-            if self.closed_quiescent() {
-                break;
-            }
-            if self.cycle >= deadline {
-                saturated = true;
-                break;
-            }
-            if self.inj_backlog > self.cfg.backlog_limit {
-                saturated = true;
-                break;
-            }
-            if self.cycle.is_multiple_of(1024) && self.deadlocked(10_000) {
-                deadlocked = true;
-                saturated = true;
-                break;
-            }
-            self.step_closed();
+        let closed = self.closed.is_some();
+        let mut stop = None;
+        if closed {
+            self.closed_start();
+            stop = self.stop_reason(measure_end, deadline);
         }
+        while stop.is_none() {
+            let target = if self.skip {
+                // Closed-loop runs have no measurement boundary to stop at.
+                let boundary = if closed { u64::MAX } else { measure_end };
+                self.next_cycle_of_interest(boundary, deadline)
+            } else {
+                self.cycle + 1
+            };
+            let tagging = closed || (target > warmup && target <= measure_end);
+            let granted = self.simulate_cycle(target, tagging, tagging);
+            stop = self.stop_reason(measure_end, deadline);
+            // Streaming fast-forward (open loop only: protocol messages
+            // are short, and the span caps do not model delivery-triggered
+            // injections).
+            if self.skip
+                && !closed
+                && stop.is_none()
+                && granted == 0
+                && !self.moves.is_empty()
+                && self.batch_span(warmup, measure_end, deadline)
+            {
+                stop = self.stop_reason(measure_end, deadline);
+            }
+        }
+        let (saturated, deadlocked) = stop.expect("the run loop exits on a stop reason");
+
         let cycles = self.cycle;
-        let quiesced = self.closed_quiescent();
+        // Normalise utilisation by the cycles actually spent measuring: a
+        // run that breaks out early (saturation, backlog overflow) covers
+        // less than the configured window.
+        let measured_cycles = if closed {
+            cycles
+        } else {
+            cycles.min(measure_end).saturating_sub(warmup)
+        };
+        let quiesced = closed && self.tagged_outstanding == 0 && self.driver().quiescent();
         let mut res = self.metrics.finish(
             saturated,
             deadlocked,
             cycles,
             self.peak_backlog,
-            cycles,
-            EngineCounters {
-                simulated_cycles: cycles,
-                ..Default::default()
-            },
-        );
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        res.closed_loop = Some(driver.finish(cycles, quiesced));
-        self.closed = Some(driver);
-        res
-    }
-
-    /// Run to completion and produce results.
-    pub fn run(&mut self) -> SimResults {
-        if self.closed.is_some() {
-            return self.run_closed();
-        }
-        let warmup = self.cfg.warmup_cycles;
-        let measure_end = self.cfg.measure_end();
-        let deadline = self.cfg.deadline();
-        let mut saturated = false;
-        let mut deadlocked = false;
-
-        loop {
-            let next = self.cycle + 1;
-            let tagging = next > warmup && next <= measure_end;
-            let measuring = tagging;
-            self.step(tagging, measuring);
-
-            if self.cycle >= measure_end && self.tagged_outstanding == 0 {
-                break;
-            }
-            if self.cycle >= deadline {
-                saturated = self.tagged_outstanding > 0;
-                break;
-            }
-            if self.inj_backlog > self.cfg.backlog_limit {
-                saturated = true;
-                break;
-            }
-            if self.cycle.is_multiple_of(1024) && self.deadlocked(10_000) {
-                deadlocked = true;
-                saturated = true;
-                break;
-            }
-        }
-
-        // Normalise utilisation by the cycles actually spent measuring: a
-        // run that breaks out early (saturation, backlog overflow) covers
-        // less than the configured window.
-        let measured_cycles = self.cycle.min(measure_end).saturating_sub(warmup);
-        self.metrics.finish(
-            saturated,
-            deadlocked,
-            self.cycle,
-            self.peak_backlog,
             measured_cycles,
-            EngineCounters {
-                simulated_cycles: self.cycle,
-                ..Default::default()
-            },
-        )
+            self.counters,
+        );
+        if let Some(driver) = self.closed.as_mut() {
+            res.closed_loop = Some(driver.finish(cycles, quiesced));
+        }
+        res
     }
 
     /// Scripted-injection hook: enqueue a unicast `src → dst` *now* and
     /// make it eligible for injection next cycle, exactly as if the
-    /// Poisson source had generated it this cycle. Returns the message id
-    /// for use with [`Simulator::message_in_flight`].
+    /// source had generated it this cycle. Returns the message id for use
+    /// with [`Kernel::message_in_flight`].
     ///
     /// Intended for deterministic micro-benchmarks and timing tests; it
-    /// composes with background Poisson traffic.
+    /// composes with background traffic.
     pub fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        let path = self.plan.unicast_path(src, dst);
-        let id = self.alloc_msg(ActiveMsg::unicast(path, self.wl.msg_len, self.cycle, false));
-        self.metrics.total_generated += 1;
-        self.enqueue(id, src.0);
+        let id = self.spawn_unicast(src, dst, false);
         self.grant();
+        // New work exists; whatever stall was proven before no longer holds.
+        self.stalled = false;
         id
     }
 
     /// Scripted-injection hook: start `src`'s configured multicast
     /// operation *now*; returns the ids of its port-stream messages.
     pub fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        let gen = self.cycle;
-        let node = src.idx();
         assert!(
-            !self.plan.streams(node).is_empty(),
+            !self.plan.streams(src.idx()).is_empty(),
             "source has no multicast streams configured"
         );
-        let op = self.alloc_op(MulticastOp {
-            src,
-            gen,
-            remaining: self.plan.op_targets(node),
-            last_absorb: gen,
-            tagged: false,
-        });
         let mut ids = Vec::new();
-        for si in 0..self.plan.streams(node).len() {
-            let (path, absorbs) = {
-                let pre = &self.plan.streams(node)[si];
-                (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-            };
-            let id = self.alloc_msg(ActiveMsg::stream(
-                path,
-                self.wl.msg_len,
-                gen,
-                false,
-                op,
-                absorbs,
-            ));
-            self.metrics.total_generated += 1;
-            self.enqueue(id, src.0);
-            ids.push(id);
-        }
+        self.spawn_multicast(src, false, |id| ids.push(id));
         self.grant();
+        self.stalled = false;
         ids
     }
 
     /// Advance exactly one cycle without tagging or measuring (testing
-    /// hook for cycle-precise assertions).
+    /// hook for cycle-precise assertions; never skips).
     pub fn step_one(&mut self) {
-        self.step(false, false);
+        self.simulate_cycle(self.cycle + 1, false, false);
     }
 
     /// Is the message still in the network (queued or in flight)?
     pub fn message_in_flight(&self, id: MsgId) -> bool {
-        self.msgs[id as usize].is_some()
+        self.msgs.contains(id)
     }
 
-    /// Step until `id` completes, returning the completion cycle (the
-    /// shared [`SimEngine::run_until_complete`] loop).
+    /// Step until `id` completes, returning the completion cycle.
     ///
     /// # Panics
     ///
     /// Panics if the message does not complete within 1M cycles (deadlock
     /// or a forgotten zero-length path — both are bugs).
     pub fn run_until_complete(&mut self, id: MsgId) -> u64 {
-        SimEngine::run_until_complete(self, id)
+        let guard = self.cycle + 1_000_000;
+        while self.message_in_flight(id) {
+            self.step_one();
+            assert!(self.cycle < guard, "message {id} did not complete");
+        }
+        self.cycle
     }
 
-    /// Inject a single message immediately (testing hook): returns the
-    /// cycle count until it completes, simulating an otherwise idle
-    /// network. Must be called on a simulator with a zero-rate workload.
+    /// Inject a single unicast on an idle network and return its latency
+    /// (testing hook). Must be called on a zero-rate workload.
     pub fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
         assert_eq!(self.wl.gen_rate, 0.0, "requires a zero-rate workload");
         let gen = self.cycle;
@@ -883,54 +868,119 @@ impl<'a> Simulator<'a> {
         self.run_until_complete(id) - gen
     }
 
-    /// Inject a single multicast operation on an idle network (testing
-    /// hook): returns the operation latency (generation until the last
-    /// target absorbs the tail flit).
+    /// Inject a single multicast operation on an idle network and return
+    /// the operation latency: generation until the last target absorbs
+    /// the tail flit (testing hook).
     pub fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
         assert_eq!(self.wl.gen_rate, 0.0, "requires a zero-rate workload");
         let gen = self.cycle;
         let ids = self.inject_multicast_now(src);
-        let op = live_msg(&self.msgs, ids[0], "injected stream message")
-            .multicast
-            .as_ref()
-            .expect("stream messages carry multicast state")
-            .op;
+        // The op's arena slot is freed the moment it completes, so the
+        // latency is read off the run instead: each stream's final target
+        // absorbs at its ejection hop, so the op's last absorb is exactly
+        // the completion cycle of the slowest stream.
+        let mut done = gen;
         for id in ids {
-            self.run_until_complete(id);
+            done = done.max(self.run_until_complete(id));
         }
-        self.ops[op as usize].last_absorb - gen
+        done - gen
     }
 
-    /// Structural self-check (see [`SimEngine::audit`]).
+    /// Structural self-check (see [`SimEngine::audit`]): the cached
+    /// owned-cv counts match the cvs, every owned cv points at a live
+    /// message whose path crosses that cv, no (message, hop) owns two
+    /// cvs, waiters reference live messages, every live multicast
+    /// operation still has targets outstanding, and the op and flit
+    /// conservation counters balance.
     pub fn audit(&self) -> Result<EngineAudit, String> {
-        let lookup = |m: MsgId| self.msgs.get(m as usize).and_then(Option::as_ref);
-        let freed: HashSet<OpId> = self.free_ops.iter().copied().collect();
-        let live_ops = self
-            .ops
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !freed.contains(&(i as OpId)))
-            .map(|(i, op)| (i as OpId, op))
-            .collect();
-        audit_state(AuditInput {
+        for (pc, &count) in self.owned_count.iter().enumerate() {
+            let base = self.plan.cv_base[pc];
+            let nv = self.plan.vcs[pc];
+            let actual = (0..nv)
+                .filter(|&vc| self.cvs[(base + vc as u32) as usize].owner.is_some())
+                .count();
+            if actual != count as usize {
+                return Err(format!(
+                    "channel {pc}: owned-cv count drifted (cached {count}, actual {actual})"
+                ));
+            }
+        }
+
+        let mut owned_cvs = 0u64;
+        let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
+        for (cv, state) in self.cvs.iter().enumerate() {
+            if let Some((m, h)) = state.owner {
+                owned_cvs += 1;
+                let msg = self
+                    .msgs
+                    .try_get(m)
+                    .ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
+                let hop =
+                    *msg.path.hops.get(h as usize).ok_or_else(|| {
+                        format!("cv {cv} owner hop {h} beyond message {m}'s path")
+                    })?;
+                if self.cv_index(hop) as usize != cv {
+                    return Err(format!(
+                        "cv {cv} owned by message {m} at hop {h}, but that hop maps to cv {}",
+                        self.cv_index(hop)
+                    ));
+                }
+                if !holders.insert((m, h)) {
+                    return Err(format!("message {m} hop {h} owns two cvs"));
+                }
+            }
+            for &(m, _) in &state.waiters {
+                if !self.msgs.contains(m) {
+                    return Err(format!("cv {cv} queues dead message {m}"));
+                }
+            }
+        }
+
+        if let Some((i, _)) = self.ops.iter().find(|(_, op)| op.remaining == 0) {
+            return Err(format!("live multicast op {i} has zero targets remaining"));
+        }
+        let live_ops = self.ops.len() as u64;
+        if self.ops_allocated != self.ops_completed + live_ops {
+            return Err(format!(
+                "op accounting broken: {} allocated != {} completed + {} live",
+                self.ops_allocated, self.ops_completed, live_ops
+            ));
+        }
+
+        let live_messages = self.msgs.len() as u64;
+        let (generated, absorbed) = (self.metrics.total_generated, self.metrics.total_absorbed);
+        if generated != absorbed + live_messages {
+            return Err(format!(
+                "flit conservation broken: {generated} generated != {absorbed} absorbed + \
+                 {live_messages} live"
+            ));
+        }
+
+        Ok(EngineAudit {
             cycle: self.cycle,
-            cvs: &self.cvs,
-            msg_lookup: &lookup,
-            live_messages: self.msgs.iter().flatten().count() as u64,
+            live_messages,
+            queued_messages: self.inj_backlog as u64,
+            owned_cvs,
             live_ops,
-            plan: &self.plan,
-            inj_backlog: self.inj_backlog,
-            tagged_outstanding: self.tagged_outstanding,
             ops_allocated: self.ops_allocated,
             ops_completed: self.ops_completed,
-            total_generated: self.metrics.total_generated,
-            total_absorbed: self.metrics.total_absorbed,
+            total_generated: generated,
+            total_absorbed: absorbed,
+            tagged_outstanding: self.tagged_outstanding,
         })
     }
 
     /// Current simulated cycle (testing/diagnostics).
     pub fn now(&self) -> u64 {
         self.cycle
+    }
+
+    /// How many cycles ran through the per-cycle machinery (the rest were
+    /// skipped or fast-forwarded). Diagnostics: `now() /
+    /// simulated_cycles()` is the skip policy's compression ratio; the
+    /// stepping policy simulates every cycle.
+    pub fn simulated_cycles(&self) -> u64 {
+        self.counters.simulated_cycles
     }
 
     /// The topology under simulation.
@@ -948,45 +998,49 @@ impl<'a> Simulator<'a> {
     }
 }
 
-impl SimEngine for Simulator<'_> {
+impl<const SKIP: bool> SimEngine for Engine<'_, SKIP> {
     fn run(&mut self) -> SimResults {
-        Simulator::run(self)
+        self.0.run()
     }
 
     fn step_one(&mut self) {
-        Simulator::step_one(self)
+        self.0.step_one()
     }
 
     fn now(&self) -> u64 {
-        Simulator::now(self)
+        self.0.now()
     }
 
     fn message_in_flight(&self, id: MsgId) -> bool {
-        Simulator::message_in_flight(self, id)
+        self.0.message_in_flight(id)
     }
 
     fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        Simulator::inject_unicast_now(self, src, dst)
+        self.0.inject_unicast_now(src, dst)
     }
 
     fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        Simulator::inject_multicast_now(self, src)
+        self.0.inject_multicast_now(src)
     }
 
     fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
-        Simulator::measure_isolated_unicast(self, src, dst)
+        self.0.measure_isolated_unicast(src, dst)
     }
 
     fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
-        Simulator::measure_isolated_multicast(self, src)
+        self.0.measure_isolated_multicast(src)
     }
 
     fn audit(&self) -> Result<EngineAudit, String> {
-        Simulator::audit(self)
+        self.0.audit()
     }
 
     fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
-        Simulator::install_closed_loop(self, spec, master_seed)
+        self.0.install_closed_loop(spec, master_seed)
+    }
+
+    fn run_until_complete(&mut self, id: MsgId) -> u64 {
+        self.0.run_until_complete(id)
     }
 }
 
@@ -1147,6 +1201,37 @@ mod tests {
             res.multicast.mean >= res.stream.mean,
             "op latency (max over streams) must dominate stream latency"
         );
+    }
+
+    #[test]
+    fn stepping_policy_simulates_every_cycle_and_batches_nothing() {
+        // The oracle must never skip or batch, open loop and closed loop
+        // alike — otherwise the differential suite and the perf-smoke
+        // gate would compare the skip policy against itself. The open
+        // run is a low-load point the skip policy compresses >5×.
+        let topo = Quarc::new(16).unwrap();
+        let sets = DestinationSets::random(&topo, 4, 3);
+        let wl = Workload::new(32, 0.0005, 0.05, sets.clone()).unwrap();
+        let open = Simulator::new(&topo, &wl, SimConfig::quick(7)).run();
+        let idle = Workload::new(8, 0.0, 0.0, sets).unwrap();
+        let mut sim = Simulator::new(&topo, &idle, SimConfig::quick(7));
+        let spec = ClosedLoopSpec::Coherence {
+            window: 4,
+            requests: 24,
+            write_fraction: 0.3,
+        };
+        sim.install_closed_loop(&spec, 7);
+        let closed = sim.run();
+        assert!(closed.closed_loop.as_ref().is_some_and(|c| c.quiesced));
+        for (res, ctx) in [(&open, "open loop"), (&closed, "closed loop")] {
+            assert!(res.cycles > 0, "{ctx}: the run advanced");
+            assert_eq!(
+                res.engine.simulated_cycles, res.cycles,
+                "{ctx}: every cycle simulated"
+            );
+            assert_eq!(res.engine.spans_batched, 0, "{ctx}: no span batched");
+            assert_eq!(res.engine.span_cycles, 0, "{ctx}: no span cycles");
+        }
     }
 
     #[test]

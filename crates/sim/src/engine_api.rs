@@ -1,13 +1,16 @@
-//! The engine abstraction: one simulation contract, two implementations.
+//! The engine abstraction: one simulation contract, two time-advance
+//! policies.
 //!
 //! [`SimEngine`] is the interface the rest of the workspace programs
 //! against — the harness, the figure binaries and the timing tests all
-//! accept `dyn SimEngine`, so the cycle-stepped reference engine
-//! ([`crate::Simulator`]) and the event-driven engine
-//! ([`crate::EventSimulator`]) are interchangeable. [`build_engine`]
-//! dispatches on [`crate::config::EngineKind`].
+//! accept `dyn SimEngine`. Both implementations are the same
+//! [`Kernel`](crate::Kernel) under a different time-advance policy: the
+//! stepping oracle ([`crate::Simulator`]) advances every cycle, the
+//! event-driven engine ([`crate::EventSimulator`]) skips inert cycles
+//! and batches streaming spans. [`build_engine`] dispatches on
+//! [`crate::config::EngineKind`].
 //!
-//! The two engines promise *bit-identical* runs under the same seed:
+//! The two policies promise *bit-identical* runs under the same seed:
 //! identical delivered counts, identical latency samples in identical
 //! order, identical cycle counts. `tests/engine_equivalence.rs` enforces
 //! the promise differentially; [`SimEngine::audit`] exposes the structural
@@ -15,20 +18,19 @@
 //! property tests check on both.
 
 use crate::config::{EngineKind, SimConfig};
-use crate::event_engine::EventSimulator;
-use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId};
+use crate::engine::{EventSimulator, Simulator};
+use crate::message::MsgId;
 use crate::plan::SimPlan;
 use crate::results::SimResults;
 use noc_app::ClosedLoopSpec;
 use noc_topology::{NodeId, Topology};
 use noc_workloads::Workload;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A flit-level wormhole simulation engine.
 ///
 /// Implementations must agree cycle-for-cycle: every method here has the
-/// exact semantics documented on the reference [`crate::Simulator`].
+/// exact semantics documented on [`crate::Kernel`].
 pub trait SimEngine {
     /// Run to completion and produce results.
     fn run(&mut self) -> SimResults;
@@ -81,14 +83,7 @@ pub trait SimEngine {
     ///
     /// Panics if the message does not complete within 1M cycles (deadlock
     /// or a forgotten zero-length path — both are bugs).
-    fn run_until_complete(&mut self, id: MsgId) -> u64 {
-        let guard = self.now() + 1_000_000;
-        while self.message_in_flight(id) {
-            self.step_one();
-            assert!(self.now() < guard, "message {id} did not complete");
-        }
-        self.now()
-    }
+    fn run_until_complete(&mut self, id: MsgId) -> u64;
 }
 
 /// Snapshot of an engine's structural counters, produced by
@@ -144,101 +139,7 @@ pub fn build_engine_with_plan<'a>(
     plan: Arc<SimPlan>,
 ) -> Box<dyn SimEngine + 'a> {
     match cfg.engine {
-        EngineKind::Cycle => Box::new(crate::Simulator::with_plan(topo, wl, cfg, plan)),
+        EngineKind::Cycle => Box::new(Simulator::with_plan(topo, wl, cfg, plan)),
         EngineKind::EventDriven => Box::new(EventSimulator::with_plan(topo, wl, cfg, plan)),
     }
-}
-
-/// Borrowed view of an engine's dynamic state for [`audit_state`].
-///
-/// Message and op storage is abstracted (a lookup closure plus a
-/// materialised live-op list) because the two engines keep different
-/// layouts — the reference engine a `Vec<Option<_>>` with free lists,
-/// the event engine generation-tagged [`crate::arena::Arena`]s. Audits
-/// are cold paths; the materialisation cost is irrelevant.
-pub(crate) struct AuditInput<'s> {
-    pub cycle: u64,
-    pub cvs: &'s [CvState],
-    /// Live-message lookup: `None` for freed (or stale) ids.
-    pub msg_lookup: &'s dyn Fn(MsgId) -> Option<&'s ActiveMsg>,
-    /// Messages allocated and not yet absorbed.
-    pub live_messages: u64,
-    /// Live multicast operations with their ids.
-    pub live_ops: Vec<(OpId, &'s MulticastOp)>,
-    pub plan: &'s SimPlan,
-    pub inj_backlog: usize,
-    pub tagged_outstanding: u64,
-    pub ops_allocated: u64,
-    pub ops_completed: u64,
-    pub total_generated: u64,
-    pub total_absorbed: u64,
-}
-
-/// Shared audit over both engines' identically-shaped state: checks that
-/// every owned cv points at a live message whose path actually crosses
-/// that cv, that no (message, hop) owns two cvs, that waiters reference
-/// live messages, and that every live multicast operation still has
-/// targets outstanding.
-pub(crate) fn audit_state(inp: AuditInput<'_>) -> Result<EngineAudit, String> {
-    let mut owned_cvs = 0u64;
-    let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
-    for (cv, state) in inp.cvs.iter().enumerate() {
-        if let Some((m, h)) = state.owner {
-            owned_cvs += 1;
-            let msg =
-                (inp.msg_lookup)(m).ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
-            let hop = *msg
-                .path
-                .hops
-                .get(h as usize)
-                .ok_or_else(|| format!("cv {cv} owner hop {h} beyond message {m}'s path"))?;
-            if inp.plan.cv_index(hop) as usize != cv {
-                return Err(format!(
-                    "cv {cv} owned by message {m} at hop {h}, but that hop maps to cv {}",
-                    inp.plan.cv_index(hop)
-                ));
-            }
-            if !holders.insert((m, h)) {
-                return Err(format!("message {m} hop {h} owns two cvs"));
-            }
-        }
-        for &(m, _) in &state.waiters {
-            if (inp.msg_lookup)(m).is_none() {
-                return Err(format!("cv {cv} queues dead message {m}"));
-            }
-        }
-    }
-
-    let live_ops = inp.live_ops.len() as u64;
-    for &(i, op) in &inp.live_ops {
-        if op.remaining == 0 {
-            return Err(format!("live multicast op {i} has zero targets remaining"));
-        }
-    }
-    if inp.ops_allocated != inp.ops_completed + live_ops {
-        return Err(format!(
-            "op accounting broken: {} allocated != {} completed + {} live",
-            inp.ops_allocated, inp.ops_completed, live_ops
-        ));
-    }
-
-    if inp.total_generated != inp.total_absorbed + inp.live_messages {
-        return Err(format!(
-            "flit conservation broken: {} generated != {} absorbed + {} live",
-            inp.total_generated, inp.total_absorbed, inp.live_messages
-        ));
-    }
-
-    Ok(EngineAudit {
-        cycle: inp.cycle,
-        live_messages: inp.live_messages,
-        queued_messages: inp.inj_backlog as u64,
-        owned_cvs,
-        live_ops,
-        ops_allocated: inp.ops_allocated,
-        ops_completed: inp.ops_completed,
-        total_generated: inp.total_generated,
-        total_absorbed: inp.total_absorbed,
-        tagged_outstanding: inp.tagged_outstanding,
-    })
 }

@@ -1,21 +1,24 @@
 //! # noc-sim
 //!
 //! A flit-level wormhole NoC simulator — the reproduction's substitute for
-//! the paper's OMNET++ discrete-event simulator (§4) — with **two
+//! the paper's OMNET++ discrete-event simulator (§4). One flit kernel
+//! ([`Kernel`]) implements the cycle; a time-advance policy, fixed by the
+//! engine type ([`Engine`]), decides which cycles it runs, giving **two
 //! engines** behind one [`SimEngine`] contract:
 //!
-//! * [`EventSimulator`] (default) — event-driven: skips provably inert
-//!   cycles and jumps between injections, grants and run boundaries.
-//!   5–50× faster at the low-load sweep points the Fig. 6/7 validation
-//!   protocol spends most of its time on.
-//! * [`Simulator`] — cycle-stepped reference oracle: advances every
-//!   cycle. Kept deliberately simple; the differential suite
-//!   (`tests/engine_equivalence.rs`) requires the event engine to
-//!   reproduce its runs bit-for-bit under a shared seed.
+//! * [`EventSimulator`] (default, `Engine<'_, true>`) — event-driven:
+//!   skips provably inert cycles, jumps between injections, grants and
+//!   run boundaries, and batches streaming spans. 5–50× faster at the
+//!   low-load sweep points the Fig. 6/7 validation protocol spends most
+//!   of its time on.
+//! * [`Simulator`] (`Engine<'_, false>`) — the reference oracle:
+//!   advances every cycle and never batches. The differential suite
+//!   (`tests/engine_equivalence.rs`) requires the two policies to
+//!   produce bit-identical runs under a shared seed.
 //!
 //! Select the engine via the [`SimConfig`] `engine` field
 //! ([`EngineKind`]) and construct through [`build_engine`], or
-//! instantiate either engine directly.
+//! instantiate either type directly (the type fixes the policy).
 //!
 //! ## Model of a node (paper Fig. 5)
 //!
@@ -82,7 +85,7 @@ mod closed_loop;
 pub mod config;
 pub mod engine;
 pub mod engine_api;
-pub mod event_engine;
+mod event_engine;
 pub mod message;
 mod metrics;
 pub mod plan;
@@ -91,9 +94,8 @@ pub mod schedule;
 
 pub use arena::Arena;
 pub use config::{EngineKind, SimConfig};
-pub use engine::Simulator;
+pub use engine::{Engine, EventSimulator, Kernel, Simulator};
 pub use engine_api::{build_engine, build_engine_with_plan, EngineAudit, SimEngine};
-pub use event_engine::EventSimulator;
 pub use plan::{PlanError, SimPlan};
 pub use results::{ClosedLoopResults, EngineCounters, LatencyHists, LatencyStats, SimResults};
 pub use schedule::{record_trace, Arrival, ArrivalProcess, ArrivalStream};

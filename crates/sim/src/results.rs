@@ -135,9 +135,10 @@ pub struct LatencyHists {
 /// outside (benches and the CI perf smoke read these, not just timings).
 ///
 /// The counters describe *engine mechanics*, not simulation semantics:
-/// two bit-identical runs may legitimately differ here (the cycle engine
-/// reports only `simulated_cycles`), so the differential equivalence
-/// suite deliberately excludes this field from its comparisons.
+/// two bit-identical runs may legitimately differ here (the stepping
+/// oracle simulates every cycle and batches no span), so the differential
+/// equivalence suite deliberately excludes this field from its
+/// comparisons.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineCounters {
     /// Cycles the engine actually executed through its per-cycle
@@ -145,14 +146,14 @@ pub struct EngineCounters {
     /// non-skipped remainder — `cycles / simulated_cycles` is its
     /// compression ratio).
     pub simulated_cycles: u64,
-    /// Arrival events popped off the event queue (event engine only).
+    /// Arrival (or protocol-timer) events popped off the event queue.
     pub events_popped: u64,
     /// Streaming spans applied in bulk (event engine only).
     pub spans_batched: u64,
     /// Cycles fast-forwarded inside those spans (event engine only).
     pub span_cycles: u64,
-    /// Cycles proven to be stalled fixpoints and skipped from (event
-    /// engine only).
+    /// Simulated cycles that moved no flit and granted no channel — the
+    /// stalled fixpoints the event engine skips from.
     pub stall_fixpoints: u64,
     /// Streaming-span eligibility scans that found no batchable span —
     /// pure overhead, the hot-load pathology this counter exists to
@@ -276,9 +277,9 @@ pub struct SimResults {
     pub util: Option<UtilSeries>,
     /// Captured event trace; `None` unless tracing was enabled. Like
     /// [`EngineCounters`], the trace describes engine *mechanics*: the
-    /// two engines legitimately record different event interleavings
-    /// inside a cycle (and the event engine elides events in skipped
-    /// spans), so the equivalence suite excludes this field.
+    /// event engine never runs the cycles it skips, so it records no
+    /// per-cycle stall markers there, and the equivalence suite compares
+    /// traces only as event multisets.
     pub trace: Option<TraceLog>,
     /// Closed-loop protocol statistics; `None` on open-loop runs.
     pub closed_loop: Option<ClosedLoopResults>,

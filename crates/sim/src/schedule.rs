@@ -1,19 +1,13 @@
-//! Event scheduling and traffic generation shared by the simulation
-//! engines.
+//! Event scheduling and traffic generation for the simulation kernel.
 //!
 //! Three pieces live here:
 //!
-//! * [`EventQueue`] — a bucketed *calendar queue* of `(time, id)` events
-//!   popped in lexicographic `(time, id)` order, so same-cycle events pop
-//!   in ascending id order. Events due within the next
-//!   [`CALENDAR_SLOTS`] cycles live in per-cycle buckets (O(1) push/pop —
-//!   the dense regime of a loaded network); events further out fall back
-//!   to a small binary heap and migrate into buckets as the drain
-//!   frontier advances (the sparse low-load regime, where per-node gaps
-//!   are tens of thousands of cycles). The event engine keys the queue by
-//!   node to find the next injection without scanning the network; ties
-//!   popping in node order is what keeps its spawn order identical to the
-//!   cycle engine's `for node in 0..n` loop.
+//! * [`EventQueue`] — a binary min-heap of `(time, id)` events popped in
+//!   lexicographic `(time, id)` order, so same-cycle events pop in
+//!   ascending id order. The kernel keys it by node to find the next
+//!   injection (or protocol timer) without scanning the network; ties
+//!   popping in node order keep the spawn order deterministic under both
+//!   time-advance policies.
 //! * [`ArrivalProcess`] — the per-node arrival-process contract behind a
 //!   [`noc_workloads::TrafficSpec`]: a process knows the cycle of its next
 //!   arrival and, when popped, classifies the arrival and schedules the
@@ -27,7 +21,7 @@
 //!   recorded trace; see [`record_trace`]).
 //! * [`ArrivalStream`] — one node's source: the node's private RNG
 //!   (seeded from the master seed and the node index) plus its boxed
-//!   process. Both engines consume the same streams and the per-arrival
+//!   process. Both policies consume the same streams and the per-arrival
 //!   draw order (class, destination, next gap) is part of their
 //!   deterministic contract, which is what makes their runs bit-identical
 //!   under a shared seed. Under [`TrafficSpec::Geometric`] the streams
@@ -38,97 +32,47 @@ use noc_topology::NodeId;
 use noc_workloads::{TraceEntry, TraceKind, TrafficSpec, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Width of the calendar window, in cycles (a power of two, so slot
-/// lookup is a mask). Events due within `[frontier, frontier + CALENDAR_SLOTS)`
-/// live in per-cycle buckets; later events wait in a heap and migrate in
-/// as the frontier advances.
-pub const CALENDAR_SLOTS: u64 = 1024;
-
-/// Bitmap words covering one bit per calendar slot.
-const OCC_WORDS: usize = (CALENDAR_SLOTS as usize) / 64;
-
-/// A bucketed calendar queue of `(time, id)` pairs.
+/// A min-queue of `(time, id)` events.
 ///
 /// `pop_due` pops events in `(time, id)` lexicographic order, so events
 /// scheduled for the same cycle come out in ascending id order — a
-/// deterministic tie-break the engines rely on.
+/// deterministic tie-break the kernel relies on.
 ///
-/// Layout: events due within the next [`CALENDAR_SLOTS`] cycles of the
-/// drain frontier sit in per-cycle buckets (`slots[time % CALENDAR_SLOTS]`),
-/// found through an occupancy bitmap — push and pop are O(1) in the
-/// dense regime of a loaded network. Events beyond the window fall back
-/// to a small binary min-heap (`far`) and migrate into buckets when the
-/// frontier reaches them — the sparse low-load regime, where inter-event
-/// gaps dwarf the window. Within the window each slot holds events of
-/// exactly one time, and same-time ids pop in ascending order via a lazy
-/// descending sort on first drain of the slot.
-///
-/// The frontier (`cursor`) tracks the time of the most recently popped
-/// event; `push` panics if asked to schedule behind it, so an engine bug
-/// that would silently reorder events under the old heap surfaces as a
-/// named invariant violation here.
-#[derive(Clone, Debug)]
+/// The drain frontier tracks the time of the most recently popped event;
+/// `push` panics if asked to schedule behind it, so a kernel bug that
+/// would silently reorder events surfaces as a named invariant violation.
+#[derive(Clone, Debug, Default)]
 pub struct EventQueue {
-    /// Drain frontier: every pending event has `time >= cursor`.
-    cursor: u64,
-    /// Earliest pending event time (`u64::MAX` when empty, except for
-    /// events literally scheduled at `u64::MAX`). Maintained as a `min`
-    /// on push and recomputed once per successful pop, so the loaded
-    /// regime's once-per-cycle *failing* `pop_due` probe — the engine's
-    /// hot path at saturation, where an arrival is due only every few
-    /// cycles — is a single compare instead of a bitmap scan.
-    next_time: u64,
-    /// Events currently held in the calendar window.
-    near_len: usize,
-    /// Per-cycle buckets; `slots[t % CALENDAR_SLOTS]` holds the ids due
-    /// at `t` for the unique in-window `t` mapping to that index.
-    slots: Vec<Vec<u32>>,
-    /// One bit per slot: does the bucket hold any events?
-    occupied: [u64; OCC_WORDS],
-    /// The time whose bucket is sorted (descending) and mid-drain.
-    draining: Option<u64>,
-    /// Far-future overflow: a binary min-heap of events with
-    /// `time >= cursor + CALENDAR_SLOTS`.
-    far: Vec<(u64, u32)>,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new()
-    }
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Drain frontier: every pending event has `time >= frontier`.
+    frontier: u64,
 }
 
 impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            cursor: 0,
-            next_time: u64::MAX,
-            near_len: 0,
-            slots: vec![Vec::new(); CALENDAR_SLOTS as usize],
-            occupied: [0; OCC_WORDS],
-            draining: None,
-            far: Vec::new(),
-        }
+        EventQueue::default()
     }
 
-    /// An empty queue with room for `cap` far-future events (the calendar
-    /// window itself is fixed-size).
+    /// An empty queue with room for `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
-        let mut q = EventQueue::new();
-        q.far.reserve(cap);
-        q
+        EventQueue {
+            heap: BinaryHeap::with_capacity(cap),
+            frontier: 0,
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.heap.len()
     }
 
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Schedule `id` at `time`.
@@ -140,184 +84,27 @@ impl EventQueue {
     /// popped, which the pop order could no longer honour.
     pub fn push(&mut self, time: u64, id: u32) {
         assert!(
-            time >= self.cursor,
+            time >= self.frontier,
             "EventQueue invariant violated: event (time {time}, id {id}) scheduled into the \
              past behind the drain frontier {}",
-            self.cursor
+            self.frontier
         );
-        self.next_time = self.next_time.min(time);
-        if time - self.cursor < CALENDAR_SLOTS {
-            self.near_insert(time, id);
-        } else {
-            self.far.push((time, id));
-            self.far_sift_up(self.far.len() - 1);
-        }
+        self.heap.push(Reverse((time, id)));
     }
 
-    /// Earliest pending event time, if any. O(1): reads the maintained
-    /// minimum.
+    /// Earliest pending event time, if any.
     pub fn peek_time(&self) -> Option<u64> {
-        (!self.is_empty()).then_some(self.next_time)
+        self.heap.peek().map(|&Reverse((t, _))| t)
     }
 
     /// Pop the earliest event if it is due at or before `now`.
     pub fn pop_due(&mut self, now: u64) -> Option<u32> {
-        // Saturation hot path: a probe with nothing due is one compare
-        // (the emptiness check only runs when `now` reaches the cached
-        // minimum, which an empty queue parks at `u64::MAX`).
-        if self.next_time > now || self.is_empty() {
+        if self.peek_time()? > now {
             return None;
         }
-        let id = loop {
-            if let Some(t) = self.first_near_time() {
-                break self.pop_slot(t);
-            }
-            // The window is empty and the next far event is due (the
-            // cached minimum said so): jump the frontier to it so it (and
-            // any companions) migrate into buckets, then pop from there.
-            let &(t, _) = self
-                .far
-                .first()
-                .expect("EventQueue invariant violated: cached minimum but no pending event");
-            self.cursor = t;
-            self.settle();
-        };
-        // In-window events always precede far ones (far ≥ cursor + window).
-        self.next_time = self
-            .first_near_time()
-            .or_else(|| self.far.first().map(|&(t, _)| t))
-            .unwrap_or(u64::MAX);
+        let Reverse((time, id)) = self.heap.pop()?;
+        self.frontier = time;
         Some(id)
-    }
-
-    /// Insert an in-window event into its bucket.
-    fn near_insert(&mut self, time: u64, id: u32) {
-        let s = (time % CALENDAR_SLOTS) as usize;
-        if self.draining == Some(time) {
-            // The bucket is mid-drain (sorted descending): keep it sorted.
-            let pos = self.slots[s].partition_point(|&x| x > id);
-            self.slots[s].insert(pos, id);
-        } else {
-            self.slots[s].push(id);
-        }
-        self.occupied[s / 64] |= 1u64 << (s % 64);
-        self.near_len += 1;
-    }
-
-    /// Pop the smallest id due at `t` (the earliest pending time).
-    fn pop_slot(&mut self, t: u64) -> u32 {
-        if t > self.cursor {
-            self.cursor = t;
-            self.settle();
-        }
-        let s = (t % CALENDAR_SLOTS) as usize;
-        if self.draining != Some(t) {
-            // Lazy: sort descending on first drain so each pop is a
-            // cheap pop-from-the-back in ascending id order.
-            self.slots[s].sort_unstable_by(|a, b| b.cmp(a));
-            self.draining = Some(t);
-        }
-        let id = self.slots[s]
-            .pop()
-            .expect("EventQueue invariant violated: occupied bucket holds no event");
-        self.near_len -= 1;
-        if self.slots[s].is_empty() {
-            self.occupied[s / 64] &= !(1u64 << (s % 64));
-            self.draining = None;
-        }
-        id
-    }
-
-    /// Migrate far events that now fall inside the window. Called after
-    /// every frontier advance so the far heap's `time >= cursor + window`
-    /// invariant holds.
-    fn settle(&mut self) {
-        let limit = self.cursor.saturating_add(CALENDAR_SLOTS);
-        while let Some(&(t, id)) = self.far.first() {
-            if t >= limit {
-                break;
-            }
-            self.far_pop();
-            self.near_insert(t, id);
-        }
-    }
-
-    /// Earliest occupied bucket time within the window, via the bitmap.
-    fn first_near_time(&self) -> Option<u64> {
-        if self.near_len == 0 {
-            return None;
-        }
-        let start = (self.cursor % CALENDAR_SLOTS) as usize;
-        let base = self.cursor - self.cursor % CALENDAR_SLOTS;
-        // Slots at or after the frontier's index hold times in this
-        // window lap; earlier slots hold times one lap later.
-        if let Some(s) = self.first_set_in(start, CALENDAR_SLOTS as usize) {
-            return Some(base + s as u64);
-        }
-        let s = self.first_set_in(0, start)?;
-        Some(base + CALENDAR_SLOTS + s as u64)
-    }
-
-    /// Lowest set bit in `occupied[lo..hi)`, if any.
-    fn first_set_in(&self, lo: usize, hi: usize) -> Option<usize> {
-        if lo >= hi {
-            return None;
-        }
-        let hi_w = hi.div_ceil(64);
-        let mut w = lo / 64;
-        let mut bits = self.occupied[w] & (!0u64 << (lo % 64));
-        loop {
-            if bits != 0 {
-                let s = w * 64 + bits.trailing_zeros() as usize;
-                return (s < hi).then_some(s);
-            }
-            w += 1;
-            if w >= hi_w {
-                return None;
-            }
-            bits = self.occupied[w];
-        }
-    }
-
-    /// Pop the minimum of the far heap.
-    fn far_pop(&mut self) {
-        let last = self.far.len() - 1;
-        self.far.swap(0, last);
-        self.far.pop();
-        if !self.far.is_empty() {
-            self.far_sift_down(0);
-        }
-    }
-
-    fn far_sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.far[i] < self.far[parent] {
-                self.far.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn far_sift_down(&mut self, mut i: usize) {
-        let n = self.far.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < n && self.far[l] < self.far[smallest] {
-                smallest = l;
-            }
-            if r < n && self.far[r] < self.far[smallest] {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.far.swap(i, smallest);
-            i = smallest;
-        }
     }
 }
 
@@ -709,6 +496,10 @@ mod tests {
     use super::*;
     use noc_topology::Quarc;
     use noc_workloads::DestinationSets;
+
+    /// Spacing of the queue tests' event times: far-apart, repeatedly
+    /// wrapping times are where a bucketed queue would misorder events.
+    const CALENDAR_SLOTS: u64 = 1024;
 
     #[test]
     fn event_queue_pops_in_time_then_id_order() {

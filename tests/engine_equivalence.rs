@@ -549,3 +549,66 @@ fn shared_plan_differential_pair_is_identical_too() {
     let event = build_engine_with_plan(&topo, &wl, cfg, plan).run();
     assert_runs_identical(&cycle, &event, "quarc shared plan");
 }
+
+// ---------------------------------------------------------------------
+// Deadlock break: no other case stops on the watchdog.
+// ---------------------------------------------------------------------
+
+#[test]
+fn deadlocked_runs_break_identically() {
+    // Multipath routing on torus-8x8 under on/off bursts at seed 8 stops
+    // on the deadlock watchdog at cycle 209,920. The watchdog, not the
+    // routing, is at fault: an off period leaves the network idle from
+    // cycle 197,109, and the arrival that ends it lands on the
+    // stride-aligned cycle 209,920 and is granted its injection channel,
+    // so the watchdog sees a held channel and no flit move for more than
+    // its window. The skip policy jumps over the idle gap straight to
+    // that arrival; both policies must break on the same cycle with the
+    // same statistics.
+    //
+    // This pins known behaviour (perfbench's first target). A future fix
+    // of the watchdog must flip this assertion, as perfbench's
+    // `first_target_deadlock_still_reproduces` test says for its copy of
+    // this input.
+    let run = |engine: EngineKind| {
+        let workload = WorkloadSpec::new(16, 0.05, MulticastPattern::Random { group: 8 })
+            .with_routing(RoutingSpec::Multipath)
+            .with_traffic(TrafficSpec::OnOff {
+                burst_len: 8.0,
+                peak_rate: 0.2,
+            });
+        let sim = SimConfig {
+            warmup_cycles: 20_000,
+            measure_cycles: 400_000,
+            ..SimConfig::standard(8)
+        };
+        let nc = ModelOptions {
+            backend: BackendSpec::NetworkCalculus,
+            ..ModelOptions::default()
+        };
+        let sc = Scenario::new(
+            "torus-8x8-multipath-onoff",
+            TopologySpec::parse("torus-8x8").unwrap(),
+            workload,
+            SweepSpec::SaturationFractions {
+                fractions: vec![0.05],
+            },
+        )
+        .with_sim(sim.with_engine(engine))
+        .with_model(Some(nc))
+        .with_seed(8);
+        let mut r = Runner::new()
+            .threads(1)
+            .cache(None)
+            .run(&sc)
+            .expect("scenario runs");
+        r.sims.swap_remove(0).swap_remove(0)
+    };
+    let (cycle, event) = (run(EngineKind::Cycle), run(EngineKind::EventDriven));
+    assert!(
+        cycle.deadlocked,
+        "the pinned input no longer stops on the watchdog"
+    );
+    assert_eq!(cycle.cycles, 209_920, "watchdog break cycle");
+    assert_runs_identical(&cycle, &event, "torus-8x8 multipath deadlock");
+}

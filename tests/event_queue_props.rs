@@ -1,17 +1,19 @@
-//! Property-based tests of the calendar event queue: model-based
+//! Property-based tests of the kernel's event queue: model-based
 //! equivalence against a sorted reference under random push/drain
-//! scripts (exercising bucket wrap-around and the far-heap migration),
-//! plus the frontier safety property — no event can be scheduled into
-//! the past.
+//! scripts (near and far-future events, same-time ties), plus the
+//! frontier safety property — no event can be scheduled into the past.
 
 use proptest::prelude::*;
-use quarc_noc::sim::schedule::{EventQueue, CALENDAR_SLOTS};
+use quarc_noc::sim::schedule::EventQueue;
+
+/// Time scale of the random scripts: offsets of up to four of these
+/// spread events over many 1024-cycle laps.
+const CALENDAR_SLOTS: u64 = 1024;
 
 /// One step of a random queue script.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Push an event at `now + offset` (offsets beyond `CALENDAR_SLOTS`
-    /// land in the far heap and must migrate into the window later).
+    /// Push an event at `now + offset` (up to four laps ahead).
     Push { offset: u64, id: u32 },
     /// Advance the clock by `advance` cycles and drain everything due.
     Drain { advance: u64 },
@@ -98,8 +100,7 @@ proptest! {
     ) {
         let popped = run_script(&ops)?;
         // Pop order is globally non-decreasing in time and, within a
-        // time, ascending in id — even as the calendar wraps its 1024
-        // slots and far events migrate into the window.
+        // time, ascending in id — across many 1024-cycle laps.
         for w in popped.windows(2) {
             prop_assert!(
                 w[0] <= w[1],
