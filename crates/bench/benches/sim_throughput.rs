@@ -14,7 +14,7 @@
 //! record the performance trajectory over time.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use noc_sim::{EngineKind, EventSimulator, SimConfig, SimPlan, Simulator, TelemetrySpec};
+use noc_sim::{build_engine_with_plan, EngineKind, SimConfig, SimPlan, TelemetrySpec};
 use noc_topology::Quarc;
 use noc_workloads::{DestinationSets, Workload};
 use std::sync::Arc;
@@ -73,15 +73,8 @@ fn panels() -> Vec<Panel> {
 }
 
 fn run_once(panel: &Panel, wl: &Workload, engine: EngineKind) -> noc_sim::SimResults {
-    let cfg = short_cfg(7);
-    match engine {
-        EngineKind::Cycle => {
-            Simulator::with_plan(&panel.topo, wl, cfg, Arc::clone(&panel.plan)).run()
-        }
-        EngineKind::EventDriven => {
-            EventSimulator::with_plan(&panel.topo, wl, cfg, Arc::clone(&panel.plan)).run()
-        }
-    }
+    let cfg = short_cfg(7).with_engine(engine);
+    build_engine_with_plan(&panel.topo, wl, cfg, Arc::clone(&panel.plan)).run()
 }
 
 fn bench_sim(c: &mut Criterion) {

@@ -103,8 +103,6 @@ fn main() -> Result<()> {
         }
     }
     println!("{}", table.to_aligned());
-    if let Ok(p) = opts.write_csv("ablation-correction.csv", &table.to_csv()) {
-        println!("wrote {}", p.display());
-    }
+    opts.save_csv("ablation-correction.csv", &table.to_csv());
     Ok(())
 }

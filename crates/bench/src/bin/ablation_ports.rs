@@ -115,8 +115,6 @@ fn main() -> Result<()> {
         &mut table,
     )?;
     println!("{}", table.to_aligned());
-    if let Ok(p) = opts.write_csv("ablation-ports.csv", &table.to_csv()) {
-        println!("wrote {}", p.display());
-    }
+    opts.save_csv("ablation-ports.csv", &table.to_csv());
     Ok(())
 }

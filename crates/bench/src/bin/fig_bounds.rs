@@ -146,10 +146,7 @@ fn main() -> Result<()> {
         }
     }
     println!("{}", table.to_aligned());
-    match opts.write_csv("fig-bounds.csv", &table.to_csv()) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    opts.save_csv("fig-bounds.csv", &table.to_csv());
     println!(
         "\nEvery row sweeps fractions of the calculus backend's own saturation\n\
          anchor — including multipath routing and on/off bursts, where the M/G/1\n\

@@ -95,10 +95,7 @@ fn main() -> Result<()> {
         }
     }
     println!("{}", table.to_aligned());
-    match opts.write_csv("fig-burstiness.csv", &table.to_csv()) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    opts.save_csv("fig-burstiness.csv", &table.to_csv());
     println!(
         "\nThe model only sees the mean rate; rising divergence with burst length is the\n\
          Poisson assumption visibly breaking (cf. the network-calculus critique of\n\

@@ -108,10 +108,8 @@ fn main() -> Result<()> {
 
         println!("panel {label} ({requests} requests/node, write fraction 0.1):");
         println!("{}", table.to_aligned());
-        match opts.write_csv(&format!("fig-closedloop-{label}.csv"), &table.to_csv()) {
-            Ok(path) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("csv write failed: {e}\n"),
-        }
+        opts.save_csv(&format!("fig-closedloop-{label}.csv"), &table.to_csv());
+        println!();
 
         // The knee shape check: up to the best window, doubling the
         // window must not *lose* throughput (5% tolerance absorbs

@@ -127,10 +127,7 @@ fn main() -> Result<()> {
         }
     }
     println!("\n{}", table.to_aligned());
-    match opts.write_csv("fig-routing.csv", &table.to_csv()) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("csv write failed: {e}"),
-    }
+    opts.save_csv("fig-routing.csv", &table.to_csv());
 
     // Schemes that need concurrent injection ports are *typed* spec
     // errors on one-port topologies, not panics deep inside a sweep.

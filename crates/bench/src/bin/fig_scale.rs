@@ -24,9 +24,7 @@
 //! ```
 
 use noc_bench::cli::Options;
-use noc_sim::{
-    EngineKind, EventSimulator, SimConfig, SimPlan, SimResults, Simulator, TelemetrySpec,
-};
+use noc_sim::{build_engine_with_plan, EngineKind, SimConfig, SimPlan, SimResults, TelemetrySpec};
 use noc_topology::TopologySpec;
 use noc_workloads::{DestinationSets, Workload};
 use std::sync::Arc;
@@ -124,12 +122,13 @@ fn run_rung(spec_str: &str, rate: f64, differential: bool, opts: &Options) -> Ro
 
     let cfg = cfg(opts.quick, opts.seed);
     let t0 = Instant::now();
-    let event = EventSimulator::with_plan(topo.as_ref(), &wl, cfg, Arc::clone(&plan)).run();
+    let event = build_engine_with_plan(topo.as_ref(), &wl, cfg, Arc::clone(&plan)).run();
     let wall_ms = t0.elapsed().as_nanos() as f64 / 1e6;
     assert_finite(spec_str, "event", &event);
 
     if differential {
-        let cycle = Simulator::with_plan(topo.as_ref(), &wl, cfg, Arc::clone(&plan)).run();
+        let cycle_cfg = cfg.with_engine(EngineKind::Cycle);
+        let cycle = build_engine_with_plan(topo.as_ref(), &wl, cycle_cfg, Arc::clone(&plan)).run();
         assert_finite(spec_str, "cycle", &cycle);
         assert_eq!(event.cycles, cycle.cycles, "{spec_str}: cycles diverged");
         assert_eq!(

@@ -63,8 +63,6 @@ fn main() -> Result<()> {
         }
     }
     println!("{}", table.to_aligned());
-    if let Ok(p) = opts.write_csv("hypercube-extension.csv", &table.to_csv()) {
-        println!("wrote {}", p.display());
-    }
+    opts.save_csv("hypercube-extension.csv", &table.to_csv());
     Ok(())
 }

@@ -79,8 +79,6 @@ fn main() -> Result<()> {
         }
     }
     println!("{}", table.to_aligned());
-    if let Ok(p) = opts.write_csv("mesh-extension.csv", &table.to_csv()) {
-        println!("wrote {}", p.display());
-    }
+    opts.save_csv("mesh-extension.csv", &table.to_csv());
     Ok(())
 }

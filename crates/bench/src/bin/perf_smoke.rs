@@ -19,9 +19,7 @@
 //! Defaults to `64 0.005 5`; the optional overrides probe other points
 //! with the same interleaved-sampling methodology.
 
-use noc_sim::{
-    EngineKind, EventSimulator, SimConfig, SimPlan, SimResults, Simulator, TelemetrySpec,
-};
+use noc_sim::{build_engine_with_plan, EngineKind, SimConfig, SimPlan, SimResults, TelemetrySpec};
 use noc_topology::{Quarc, Topology};
 use noc_workloads::{DestinationSets, Workload};
 use std::sync::Arc;
@@ -54,12 +52,7 @@ fn run_once(
     plan: &Arc<SimPlan>,
     engine: EngineKind,
 ) -> SimResults {
-    match engine {
-        EngineKind::Cycle => Simulator::with_plan(topo, wl, cfg(), Arc::clone(plan)).run(),
-        EngineKind::EventDriven => {
-            EventSimulator::with_plan(topo, wl, cfg(), Arc::clone(plan)).run()
-        }
-    }
+    build_engine_with_plan(topo, wl, cfg().with_engine(engine), Arc::clone(plan)).run()
 }
 
 /// Run `samples` back-to-back cycle/event pairs (after one warmup run of

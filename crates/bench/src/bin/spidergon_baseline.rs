@@ -60,8 +60,6 @@ fn main() -> Result<()> {
     }
     println!("zero-load broadcast latency, {msg}-flit messages (cycles):");
     println!("{}", table.to_aligned());
-    if let Ok(p) = opts.write_csv("spidergon-baseline.csv", &table.to_csv()) {
-        println!("wrote {}", p.display());
-    }
+    opts.save_csv("spidergon-baseline.csv", &table.to_csv());
     Ok(())
 }

@@ -140,6 +140,16 @@ impl Options {
         std::fs::write(&path, contents)?;
         Ok(path)
     }
+
+    /// [`Options::write_csv`], reporting the outcome on stderr: `wrote
+    /// <path>` or `csv write failed: <err>`. A failed write does not stop
+    /// the figure, but it is never silent.
+    pub fn save_csv(&self, name: &str, contents: &str) {
+        match self.write_csv(name, contents) {
+            Ok(path) => eprintln!("wrote {}", path.display()),
+            Err(e) => eprintln!("csv write failed: {e}"),
+        }
+    }
 }
 
 fn next_num<I: Iterator<Item = String>>(it: &mut I, flag: &str) -> Result<u64, String> {

@@ -211,13 +211,11 @@ pub fn run_figure(figure: &str, pattern: Pattern, blurb: &str, opts: &Options) -
             }
         );
         println!("{}", result.table().to_aligned());
-        match opts.write_csv(
+        opts.save_csv(
             &format!("fig{figure}-{}.csv", cfg.label()),
             &result.to_csv(),
-        ) {
-            Ok(path) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("csv write failed: {e}\n"),
-        }
+        );
+        println!();
         if opts.json {
             let path = result.write_json(&opts.out)?;
             println!("wrote {}\n", path.display());

@@ -3,9 +3,10 @@
 use noc_telemetry::TelemetrySpec;
 use serde::{Deserialize, Serialize};
 
-/// Which simulation engine executes the run.
+/// The time-advance policy of the [`Engine`](crate::Engine), read from
+/// [`SimConfig::engine`] when the engine is built (its only selector).
 ///
-/// Both engines implement identical semantics and produce bit-identical
+/// Both policies implement identical semantics and produce bit-identical
 /// results under the same seed (enforced by the differential suite in
 /// `tests/engine_equivalence.rs`); they differ only in how they spend
 /// wall-clock time.
@@ -46,8 +47,8 @@ pub struct SimConfig {
     pub backlog_limit: usize,
     /// Batch size for the batch-means confidence intervals.
     pub batch_size: u64,
-    /// Which engine executes the run (event-driven by default; the cycle
-    /// engine is the reference oracle).
+    /// The engine's time-advance policy (event-driven by default; the
+    /// cycle-stepped policy is the reference oracle).
     pub engine: EngineKind,
     /// Flight-recorder telemetry: event tracing and the utilization time
     /// series. Off by default — a disabled instrument costs one branch

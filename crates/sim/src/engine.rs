@@ -26,39 +26,38 @@
 //! 4. **Grants** — released or newly requested free cvs are granted to the
 //!    FIFO head of their waiter queues.
 //!
-//! What differs between the two engines is only *which* cycles run those
-//! phases: the kernel's time-advance policy, fixed by the engine type
-//! ([`Engine`]'s `SKIP` parameter) when the kernel is built.
+//! What differs between the two time-advance policies is only *which*
+//! cycles run those phases. The policy is read from
+//! [`SimConfig::engine`] when the engine is built ([`build_engine`],
+//! [`build_engine_with_plan`]) and never changes afterwards:
 //!
-//! * [`Simulator`] = `Engine<'_, false>` — the reference oracle: advances
-//!   to `cycle + 1`, every cycle, and never batches.
-//! * [`EventSimulator`] = `Engine<'_, true>` (the default engine) — jumps
-//!   over provably inert cycles and batches streaming spans; the policy
-//!   and the argument that it preserves every observable live in
+//! * [`EngineKind::Cycle`] — the reference oracle: advances to
+//!   `cycle + 1`, every cycle, and never batches.
+//! * [`EngineKind::EventDriven`] (the default) — jumps over provably
+//!   inert cycles and batches streaming spans; the policy and the
+//!   argument that it preserves every observable live in
 //!   `event_engine.rs`.
 //!
 //! Because both run the same phases on the same state, the differential
 //! suite (`tests/engine_equivalence.rs`) tests exactly the time-advance
-//! decision: skip versus step by one. The kernel itself is not generic,
-//! so one compiled copy of the phases serves both policies ([`Kernel::run`]
+//! decision: skip versus step by one. The engine is not generic, so one
+//! compiled copy of the phases serves both policies ([`Engine::run`]
 //! branches on the policy once per simulated cycle): a kernel generic over
-//! the policy, instantiated for both engines in one crate, ran the skip
-//! policy measurably slower.
+//! the policy, instantiated for both in one crate, ran the skip policy
+//! measurably slower.
 
 use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
-use crate::config::SimConfig;
-use crate::engine_api::{EngineAudit, SimEngine};
+use crate::config::{EngineKind, SimConfig};
 use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId};
 use crate::metrics::Metrics;
-use crate::plan::SimPlan;
+use crate::plan::{PlanError, SimPlan};
 use crate::results::{EngineCounters, SimResults};
 use crate::schedule::{Arrival, ArrivalStream, EventQueue};
 use noc_app::{AppEvent, ClosedLoopSpec, NetEnv};
 use noc_topology::{ChannelKind, NodeId, Topology};
 use noc_workloads::Workload;
 use std::collections::HashSet;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Deadlock watchdog: checked on multiples of `WATCHDOG_STRIDE`, firing
@@ -68,13 +67,18 @@ use std::sync::Arc;
 pub(crate) const WATCHDOG_STRIDE: u64 = 1024;
 pub(crate) const WATCHDOG_WINDOW: u64 = 10_000;
 
-/// The flit-level wormhole kernel: all simulation state and the one
-/// implementation of the cycle. It is built only through an [`Engine`],
-/// whose type fixes the time-advance policy; its methods are reached
-/// through the engine ([`Simulator`] or [`EventSimulator`]).
-pub struct Kernel<'a> {
-    /// Time-advance policy, fixed at construction: skip inert cycles and
-    /// batch streaming spans (`true`), or step every cycle (`false`).
+/// A flit-level wormhole simulation engine: all simulation state and the
+/// one implementation of the cycle, under the time-advance policy that
+/// [`SimConfig::engine`] selected when it was built. Runs of the two
+/// policies are bit-identical under a shared seed.
+///
+/// Borrowing the topology and workload keeps runs cheap to set up inside
+/// parameter sweeps; the precomputed [`SimPlan`] can additionally be
+/// shared across runs and between the two policies.
+pub struct Engine<'a> {
+    /// Time-advance policy, fixed at construction from `cfg.engine`: skip
+    /// inert cycles and batch streaming spans (`true`), or step every
+    /// cycle (`false`).
     skip: bool,
     topo: &'a dyn Topology,
     wl: &'a Workload,
@@ -148,119 +152,117 @@ pub struct Kernel<'a> {
     pub(crate) metrics: Metrics,
 }
 
-/// A simulation engine: the [`Kernel`] under the time-advance policy
-/// `SKIP` — `true` skips inert cycles and batches streaming spans
-/// ([`EventSimulator`]), `false` steps every cycle ([`Simulator`]). Runs
-/// of the two are bit-identical under a shared seed. Everything but
-/// construction is the kernel's (the engine derefs to it).
+/// Snapshot of an engine's structural counters, produced by
+/// [`Engine::audit`] after the per-resource consistency checks pass.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EngineAudit {
+    /// Current simulated cycle.
+    pub cycle: u64,
+    /// Messages allocated and not yet absorbed (queued or in flight).
+    pub live_messages: u64,
+    /// Messages waiting at injection channels (the backlog).
+    pub queued_messages: u64,
+    /// Cv resources currently owned by a message.
+    pub owned_cvs: u64,
+    /// Multicast operations allocated and not yet completed.
+    pub live_ops: u64,
+    /// Multicast operations allocated since the start of the run.
+    pub ops_allocated: u64,
+    /// Multicast operations whose `remaining` reached zero (each op must
+    /// complete exactly once: `ops_allocated == ops_completed + live_ops`).
+    pub ops_completed: u64,
+    /// Messages generated (all classes, tagged or not).
+    pub total_generated: u64,
+    /// Messages fully absorbed by sinks.
+    pub total_absorbed: u64,
+    /// Tagged traffic still outstanding.
+    pub tagged_outstanding: u64,
+}
+
+/// Build the engine for `topo` under `wl`, with the time-advance policy
+/// selected by `cfg.engine`.
 ///
-/// Borrowing the topology and workload keeps runs cheap to set up inside
-/// parameter sweeps; the precomputed [`SimPlan`] can additionally be
-/// shared across runs and between the two policies.
-pub struct Engine<'a, const SKIP: bool>(Kernel<'a>);
-
-/// The cycle-stepped reference oracle: the kernel advancing every cycle.
-pub type Simulator<'a> = Engine<'a, false>;
-
-/// The event-driven engine (the default): the kernel skipping inert
-/// cycles and batching streaming spans.
-pub type EventSimulator<'a> = Engine<'a, true>;
-
-impl<'a, const SKIP: bool> Engine<'a, SKIP> {
-    /// Build a simulator for `topo` under `wl`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or if the workload does not
-    /// fit the topology (see [`crate::plan::PlanError`]); use
-    /// [`SimPlan::build`] + [`Engine::with_plan`] for typed errors.
-    pub fn new(topo: &'a dyn Topology, wl: &'a Workload, cfg: SimConfig) -> Self {
-        let plan = SimPlan::build(topo, wl).unwrap_or_else(|e| panic!("{e}"));
-        Engine::with_plan(topo, wl, cfg, plan)
-    }
-
-    /// Build a simulator on a prebuilt [`SimPlan`] (shared across the runs
-    /// of a sweep, or between the two policies of a differential pair).
-    pub fn with_plan(
-        topo: &'a dyn Topology,
-        wl: &'a Workload,
-        cfg: SimConfig,
-        plan: Arc<SimPlan>,
-    ) -> Self {
-        Engine(Kernel::build(topo, wl, cfg, plan, SKIP))
-    }
+/// Returns a typed [`PlanError`] when the workload does not fit the
+/// topology, instead of panicking.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid ([`SimConfig::validate`]).
+pub fn build_engine<'a>(
+    topo: &'a dyn Topology,
+    wl: &'a Workload,
+    cfg: SimConfig,
+) -> Result<Engine<'a>, PlanError> {
+    Ok(build_engine_with_plan(
+        topo,
+        wl,
+        cfg,
+        SimPlan::build(topo, wl)?,
+    ))
 }
 
-impl<'a, const SKIP: bool> Deref for Engine<'a, SKIP> {
-    type Target = Kernel<'a>;
-
-    fn deref(&self) -> &Kernel<'a> {
-        &self.0
-    }
-}
-
-impl<const SKIP: bool> DerefMut for Engine<'_, SKIP> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.0
-    }
-}
-
-impl<'a> Kernel<'a> {
-    fn build(
-        topo: &'a dyn Topology,
-        wl: &'a Workload,
-        cfg: SimConfig,
-        plan: Arc<SimPlan>,
-        skip: bool,
-    ) -> Self {
-        cfg.validate().expect("invalid simulator configuration");
-        plan.assert_matches(topo, wl);
-        let arrivals = ArrivalStream::build_all(wl, plan.n, cfg.seed);
-        let mut queue = EventQueue::with_capacity(plan.n);
-        for (node, stream) in arrivals.iter().enumerate() {
-            if stream.next_arrival() != u64::MAX {
-                queue.push(stream.next_arrival(), node as u32);
-            }
-        }
-        let channels = plan.num_channels;
-        let metrics = Metrics::new(&cfg, plan.n, channels, !plan.is_lazy());
-        Kernel {
-            skip,
-            topo,
-            wl,
-            cfg,
-            cycle: 0,
-            cvs: vec![CvState::default(); plan.num_cvs],
-            rr: vec![0; channels],
-            active: Vec::with_capacity(channels),
-            active_flag: vec![false; channels],
-            owned_count: vec![0; channels],
-            msgs: Arena::with_capacity(plan.spawn_wave_hint()),
-            ops: Arena::with_capacity(plan.num_nodes()),
-            ops_allocated: 0,
-            ops_completed: 0,
-            inj_backlog: 0,
-            peak_backlog: 0,
-            tagged_outstanding: 0,
-            last_move_cycle: 0,
-            arrivals,
-            queue,
-            stalled: false,
-            span_fail_streak: 0,
-            span_cooldown: 0,
-            counters: EngineCounters::default(),
-            moves: Vec::new(),
-            cv_moved: vec![false; plan.num_cvs],
-            channel_moved: vec![false; channels],
-            regrant: Vec::new(),
-            closed: None,
-            arrived: Vec::new(),
-            actions: Vec::new(),
-            metrics,
-            plan,
+/// Build the engine selected by `cfg.engine` on a prebuilt [`SimPlan`]
+/// (rate sweeps and differential pairs share one plan across runs).
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid or `plan` was built for another
+/// topology or workload.
+pub fn build_engine_with_plan<'a>(
+    topo: &'a dyn Topology,
+    wl: &'a Workload,
+    cfg: SimConfig,
+    plan: Arc<SimPlan>,
+) -> Engine<'a> {
+    cfg.validate().expect("invalid simulator configuration");
+    plan.assert_matches(topo, wl);
+    let arrivals = ArrivalStream::build_all(wl, plan.n, cfg.seed);
+    let mut queue = EventQueue::with_capacity(plan.n);
+    for (node, stream) in arrivals.iter().enumerate() {
+        if stream.next_arrival() != u64::MAX {
+            queue.push(stream.next_arrival(), node as u32);
         }
     }
+    let channels = plan.num_channels;
+    let metrics = Metrics::new(&cfg, plan.n, channels, !plan.is_lazy());
+    Engine {
+        skip: cfg.engine == EngineKind::EventDriven,
+        topo,
+        wl,
+        cfg,
+        cycle: 0,
+        cvs: vec![CvState::default(); plan.num_cvs],
+        rr: vec![0; channels],
+        active: Vec::with_capacity(channels),
+        active_flag: vec![false; channels],
+        owned_count: vec![0; channels],
+        msgs: Arena::with_capacity(plan.spawn_wave_hint()),
+        ops: Arena::with_capacity(plan.num_nodes()),
+        ops_allocated: 0,
+        ops_completed: 0,
+        inj_backlog: 0,
+        peak_backlog: 0,
+        tagged_outstanding: 0,
+        last_move_cycle: 0,
+        arrivals,
+        queue,
+        stalled: false,
+        span_fail_streak: 0,
+        span_cooldown: 0,
+        counters: EngineCounters::default(),
+        moves: Vec::new(),
+        cv_moved: vec![false; plan.num_cvs],
+        channel_moved: vec![false; channels],
+        regrant: Vec::new(),
+        closed: None,
+        arrived: Vec::new(),
+        actions: Vec::new(),
+        metrics,
+        plan,
+    }
+}
 
+impl<'a> Engine<'a> {
     /// Install a closed-loop protocol: the run is then driven by the
     /// per-node machines instead of the open-loop arrival streams, and
     /// the event queue carries the protocol's timers.
@@ -807,7 +809,7 @@ impl<'a> Kernel<'a> {
     /// Scripted-injection hook: enqueue a unicast `src → dst` *now* and
     /// make it eligible for injection next cycle, exactly as if the
     /// source had generated it this cycle. Returns the message id for use
-    /// with [`Kernel::message_in_flight`].
+    /// with [`Engine::message_in_flight`].
     ///
     /// Intended for deterministic micro-benchmarks and timing tests; it
     /// composes with background traffic.
@@ -886,12 +888,12 @@ impl<'a> Kernel<'a> {
         done - gen
     }
 
-    /// Structural self-check (see [`SimEngine::audit`]): the cached
-    /// owned-cv counts match the cvs, every owned cv points at a live
-    /// message whose path crosses that cv, no (message, hop) owns two
-    /// cvs, waiters reference live messages, every live multicast
-    /// operation still has targets outstanding, and the op and flit
-    /// conservation counters balance.
+    /// Structural self-check: the cached owned-cv counts match the cvs,
+    /// every owned cv points at a live message whose path crosses that
+    /// cv, no (message, hop) owns two cvs, waiters reference live
+    /// messages, every live multicast operation still has targets
+    /// outstanding, and the op and flit conservation counters balance.
+    /// `Err` describes the first violated invariant.
     pub fn audit(&self) -> Result<EngineAudit, String> {
         for (pc, &count) in self.owned_count.iter().enumerate() {
             let base = self.plan.cv_base[pc];
@@ -998,52 +1000,6 @@ impl<'a> Kernel<'a> {
     }
 }
 
-impl<const SKIP: bool> SimEngine for Engine<'_, SKIP> {
-    fn run(&mut self) -> SimResults {
-        self.0.run()
-    }
-
-    fn step_one(&mut self) {
-        self.0.step_one()
-    }
-
-    fn now(&self) -> u64 {
-        self.0.now()
-    }
-
-    fn message_in_flight(&self, id: MsgId) -> bool {
-        self.0.message_in_flight(id)
-    }
-
-    fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        self.0.inject_unicast_now(src, dst)
-    }
-
-    fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        self.0.inject_multicast_now(src)
-    }
-
-    fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
-        self.0.measure_isolated_unicast(src, dst)
-    }
-
-    fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
-        self.0.measure_isolated_multicast(src)
-    }
-
-    fn audit(&self) -> Result<EngineAudit, String> {
-        self.0.audit()
-    }
-
-    fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
-        self.0.install_closed_loop(spec, master_seed)
-    }
-
-    fn run_until_complete(&mut self, id: MsgId) -> u64 {
-        self.0.run_until_complete(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,7 +1015,12 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         for (src, dst, msg_len) in [(0u32, 3u32, 16u32), (0, 8, 32), (5, 1, 64), (2, 12, 16)] {
             let wl = zero_workload(&topo, msg_len);
-            let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+            let mut sim = build_engine(
+                &topo,
+                &wl,
+                SimConfig::quick(1).with_engine(EngineKind::Cycle),
+            )
+            .unwrap();
             let lat = sim.measure_isolated_unicast(NodeId(src), NodeId(dst));
             let path = topo.unicast_path(NodeId(src), NodeId(dst));
             let expected = msg_len as u64 + path.hop_count() as u64;
@@ -1074,7 +1035,12 @@ mod tests {
     fn zero_load_broadcast_latency_matches_longest_stream() {
         let topo = Quarc::new(16).unwrap();
         let wl = Workload::new(32, 0.0, 0.0, DestinationSets::broadcast(&topo)).unwrap();
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        let mut sim = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(1).with_engine(EngineKind::Cycle),
+        )
+        .unwrap();
         let lat = sim.measure_isolated_multicast(NodeId(0));
         // All four broadcast streams traverse k = 4 links; the slowest
         // completes at msg + (k + 1) cycles.
@@ -1086,7 +1052,12 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 3);
         let wl = Workload::new(16, 0.004, 0.05, sets).unwrap();
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(7));
+        let mut sim = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(7).with_engine(EngineKind::Cycle),
+        )
+        .unwrap();
         let res = sim.run();
         assert!(!res.saturated, "low load must not saturate");
         assert!(res.complete(), "all tagged traffic must be delivered");
@@ -1109,7 +1080,12 @@ mod tests {
         let mut means = Vec::new();
         for rate in [0.002, 0.02] {
             let wl = Workload::new(16, rate, 0.05, sets.clone()).unwrap();
-            let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(11));
+            let mut sim = build_engine(
+                &topo,
+                &wl,
+                SimConfig::quick(11).with_engine(EngineKind::Cycle),
+            )
+            .unwrap();
             let res = sim.run();
             assert!(res.unicast.count > 50, "need samples at rate {rate}");
             means.push(res.unicast.mean);
@@ -1127,7 +1103,7 @@ mod tests {
         let wl = Workload::new(64, 0.9, 0.5, sets).unwrap();
         let mut cfg = SimConfig::quick(13);
         cfg.backlog_limit = 2_000;
-        let mut sim = Simulator::new(&topo, &wl, cfg);
+        let mut sim = build_engine(&topo, &wl, cfg.with_engine(EngineKind::Cycle)).unwrap();
         let res = sim.run();
         assert!(
             res.saturated,
@@ -1149,7 +1125,7 @@ mod tests {
         cfg.warmup_cycles = 100;
         cfg.measure_cycles = 1_000_000; // never reached
         cfg.backlog_limit = 2_000;
-        let mut sim = Simulator::new(&topo, &wl, cfg);
+        let mut sim = build_engine(&topo, &wl, cfg.with_engine(EngineKind::Cycle)).unwrap();
         let res = sim.run();
         assert!(res.saturated);
         assert!(
@@ -1177,13 +1153,31 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 5);
         let wl = Workload::new(16, 0.01, 0.1, sets).unwrap();
-        let r1 = Simulator::new(&topo, &wl, SimConfig::quick(99)).run();
-        let r2 = Simulator::new(&topo, &wl, SimConfig::quick(99)).run();
+        let r1 = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(99).with_engine(EngineKind::Cycle),
+        )
+        .unwrap()
+        .run();
+        let r2 = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(99).with_engine(EngineKind::Cycle),
+        )
+        .unwrap()
+        .run();
         assert_eq!(r1.unicast.count, r2.unicast.count);
         assert_eq!(r1.unicast.mean, r2.unicast.mean);
         assert_eq!(r1.multicast.mean, r2.multicast.mean);
         assert_eq!(r1.flit_moves, r2.flit_moves);
-        let r3 = Simulator::new(&topo, &wl, SimConfig::quick(100)).run();
+        let r3 = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(100).with_engine(EngineKind::Cycle),
+        )
+        .unwrap()
+        .run();
         assert_ne!(
             r1.flit_moves, r3.flit_moves,
             "different seed, different run"
@@ -1195,7 +1189,13 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 6, 5);
         let wl = Workload::new(16, 0.008, 0.2, sets).unwrap();
-        let res = Simulator::new(&topo, &wl, SimConfig::quick(42)).run();
+        let res = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(42).with_engine(EngineKind::Cycle),
+        )
+        .unwrap()
+        .run();
         assert!(res.multicast.count > 20);
         assert!(
             res.multicast.mean >= res.stream.mean,
@@ -1212,9 +1212,20 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 3);
         let wl = Workload::new(32, 0.0005, 0.05, sets.clone()).unwrap();
-        let open = Simulator::new(&topo, &wl, SimConfig::quick(7)).run();
+        let open = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(7).with_engine(EngineKind::Cycle),
+        )
+        .unwrap()
+        .run();
         let idle = Workload::new(8, 0.0, 0.0, sets).unwrap();
-        let mut sim = Simulator::new(&topo, &idle, SimConfig::quick(7));
+        let mut sim = build_engine(
+            &topo,
+            &idle,
+            SimConfig::quick(7).with_engine(EngineKind::Cycle),
+        )
+        .unwrap();
         let spec = ClosedLoopSpec::Coherence {
             window: 4,
             requests: 24,
@@ -1240,9 +1251,27 @@ mod tests {
         let sets = DestinationSets::random(&topo, 4, 5);
         let wl = Workload::new(16, 0.01, 0.1, sets).unwrap();
         let plan = SimPlan::build(&topo, &wl).expect("plan builds");
-        let a = Simulator::new(&topo, &wl, SimConfig::quick(5)).run();
-        let b = Simulator::with_plan(&topo, &wl, SimConfig::quick(5), Arc::clone(&plan)).run();
-        let c = Simulator::with_plan(&topo, &wl, SimConfig::quick(5), plan).run();
+        let a = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(5).with_engine(EngineKind::Cycle),
+        )
+        .unwrap()
+        .run();
+        let b = build_engine_with_plan(
+            &topo,
+            &wl,
+            SimConfig::quick(5).with_engine(EngineKind::Cycle),
+            Arc::clone(&plan),
+        )
+        .run();
+        let c = build_engine_with_plan(
+            &topo,
+            &wl,
+            SimConfig::quick(5).with_engine(EngineKind::Cycle),
+            plan,
+        )
+        .run();
         assert_eq!(a.flit_moves, b.flit_moves);
         assert_eq!(a.unicast.mean, b.unicast.mean);
         assert_eq!(b.flit_moves, c.flit_moves, "plans are reusable");

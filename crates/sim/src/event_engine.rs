@@ -1,5 +1,5 @@
-//! The event-driven time-advance policy of the kernel
-//! ([`EventSimulator`](crate::EventSimulator) = `Engine<'_, true>`).
+//! The event-driven time-advance policy of the [`Engine`]
+//! ([`EngineKind::EventDriven`](crate::EngineKind::EventDriven)).
 //!
 //! The kernel runs the same four phases under both policies; this module
 //! decides *which* cycles run them. Instead of advancing every cycle, the
@@ -49,7 +49,7 @@
 //! O(structural events): injections, header hand-offs, grants and tail
 //! releases.
 
-use crate::engine::{Kernel, WATCHDOG_STRIDE, WATCHDOG_WINDOW};
+use crate::engine::{Engine, WATCHDOG_STRIDE, WATCHDOG_WINDOW};
 use crate::message::{ActiveMsg, MsgId};
 
 /// Cap of the streaming-scan backoff exponent: after repeated
@@ -71,7 +71,7 @@ const SPAN_BACKOFF_CAP: u32 = 8;
 /// scanning and the scan overhead eats the streamed cycles it saves.
 const SPAN_PROFIT_MIN: u64 = 8;
 
-impl Kernel<'_> {
+impl Engine<'_> {
     /// The next cycle on which anything can happen or the run could newly
     /// stop. When the network can make progress that is simply the next
     /// cycle; when it is idle or stalled, jump to the earliest external
@@ -336,7 +336,7 @@ impl Kernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventSimulator, SimConfig};
+    use crate::{build_engine, SimConfig};
     use noc_topology::{NodeId, Quarc, Topology};
     use noc_workloads::{DestinationSets, Workload};
 
@@ -345,7 +345,7 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 1);
         let wl = Workload::new(32, 0.0, 0.0, sets).unwrap();
-        let mut sim = EventSimulator::new(&topo, &wl, SimConfig::quick(1));
+        let mut sim = build_engine(&topo, &wl, SimConfig::quick(1)).unwrap();
         let lat = sim.measure_isolated_unicast(NodeId(0), NodeId(8));
         let path = topo.unicast_path(NodeId(0), NodeId(8));
         assert_eq!(lat, 32 + path.hop_count() as u64);
@@ -356,7 +356,7 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 3);
         let wl = Workload::new(16, 0.004, 0.05, sets).unwrap();
-        let mut sim = EventSimulator::new(&topo, &wl, SimConfig::quick(7));
+        let mut sim = build_engine(&topo, &wl, SimConfig::quick(7)).unwrap();
         let res = sim.run();
         assert!(!res.saturated);
         assert!(res.complete());
@@ -372,7 +372,7 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 3);
         let wl = Workload::new(32, 0.0005, 0.05, sets).unwrap();
-        let mut sim = EventSimulator::new(&topo, &wl, SimConfig::quick(7));
+        let mut sim = build_engine(&topo, &wl, SimConfig::quick(7)).unwrap();
         let res = sim.run();
         assert!(!res.saturated);
         let ratio = res.cycles as f64 / sim.simulated_cycles() as f64;
@@ -390,8 +390,12 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 5);
         let wl = Workload::new(16, 0.01, 0.1, sets).unwrap();
-        let a = EventSimulator::new(&topo, &wl, SimConfig::quick(99)).run();
-        let b = EventSimulator::new(&topo, &wl, SimConfig::quick(99)).run();
+        let a = build_engine(&topo, &wl, SimConfig::quick(99))
+            .unwrap()
+            .run();
+        let b = build_engine(&topo, &wl, SimConfig::quick(99))
+            .unwrap()
+            .run();
         assert_eq!(a.flit_moves, b.flit_moves);
         assert_eq!(a.unicast.mean, b.unicast.mean);
         assert_eq!(a.cycles, b.cycles);
@@ -404,7 +408,7 @@ mod tests {
         let wl = Workload::new(64, 0.9, 0.5, sets).unwrap();
         let mut cfg = SimConfig::quick(13);
         cfg.backlog_limit = 2_000;
-        let res = EventSimulator::new(&topo, &wl, cfg).run();
+        let res = build_engine(&topo, &wl, cfg).unwrap().run();
         assert!(res.saturated);
     }
 
@@ -413,7 +417,7 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 1);
         let wl = Workload::new(16, 0.0, 0.0, sets).unwrap();
-        let sim = EventSimulator::new(&topo, &wl, SimConfig::quick(1));
+        let sim = build_engine(&topo, &wl, SimConfig::quick(1)).unwrap();
         let c = sim.next_watchdog_cycle();
         assert_eq!(c % WATCHDOG_STRIDE, 0);
         assert!(c > sim.last_move_cycle + WATCHDOG_WINDOW);

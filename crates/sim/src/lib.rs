@@ -1,24 +1,21 @@
 //! # noc-sim
 //!
 //! A flit-level wormhole NoC simulator — the reproduction's substitute for
-//! the paper's OMNET++ discrete-event simulator (§4). One flit kernel
-//! ([`Kernel`]) implements the cycle; a time-advance policy, fixed by the
-//! engine type ([`Engine`]), decides which cycles it runs, giving **two
-//! engines** behind one [`SimEngine`] contract:
+//! the paper's OMNET++ discrete-event simulator (§4). One engine type,
+//! [`Engine`], implements the cycle; its time-advance policy, selected by
+//! the [`SimConfig`] `engine` field ([`EngineKind`]) when
+//! [`build_engine`] or [`build_engine_with_plan`] builds it, decides which
+//! cycles it runs:
 //!
-//! * [`EventSimulator`] (default, `Engine<'_, true>`) — event-driven:
-//!   skips provably inert cycles, jumps between injections, grants and
-//!   run boundaries, and batches streaming spans. 5–50× faster at the
-//!   low-load sweep points the Fig. 6/7 validation protocol spends most
-//!   of its time on.
-//! * [`Simulator`] (`Engine<'_, false>`) — the reference oracle:
-//!   advances every cycle and never batches. The differential suite
-//!   (`tests/engine_equivalence.rs`) requires the two policies to
-//!   produce bit-identical runs under a shared seed.
-//!
-//! Select the engine via the [`SimConfig`] `engine` field
-//! ([`EngineKind`]) and construct through [`build_engine`], or
-//! instantiate either type directly (the type fixes the policy).
+//! * [`EngineKind::EventDriven`] (default) — skips provably inert cycles,
+//!   jumps between injections, grants and run boundaries, and batches
+//!   streaming spans. 5–50× faster at the low-load sweep points the
+//!   Fig. 6/7 validation protocol spends most of its time on.
+//! * [`EngineKind::Cycle`] — the reference oracle: advances every cycle
+//!   and never batches. The differential suite
+//!   (`tests/engine_equivalence.rs`) requires the two policies to produce
+//!   bit-identical runs under a shared seed, and checks from
+//!   [`SimResults::engine`] that the oracle side really stepped.
 //!
 //! ## Model of a node (paper Fig. 5)
 //!
@@ -84,7 +81,6 @@ pub mod arena;
 mod closed_loop;
 pub mod config;
 pub mod engine;
-pub mod engine_api;
 mod event_engine;
 pub mod message;
 mod metrics;
@@ -94,14 +90,13 @@ pub mod schedule;
 
 pub use arena::Arena;
 pub use config::{EngineKind, SimConfig};
-pub use engine::{Engine, EventSimulator, Kernel, Simulator};
-pub use engine_api::{build_engine, build_engine_with_plan, EngineAudit, SimEngine};
+pub use engine::{build_engine, build_engine_with_plan, Engine, EngineAudit};
 pub use plan::{PlanError, SimPlan};
 pub use results::{ClosedLoopResults, EngineCounters, LatencyHists, LatencyStats, SimResults};
 pub use schedule::{record_trace, Arrival, ArrivalProcess, ArrivalStream};
 
 // Re-exported so engine users can name a protocol without depending on
-// `noc-app` directly (the closed-loop API surface lives on `SimEngine`).
+// `noc-app` directly (the closed-loop API surface lives on `Engine`).
 pub use noc_app::ClosedLoopSpec;
 
 // Re-exported so telemetry consumers (the bench runner, figure bins) can

@@ -41,16 +41,18 @@ impl DestinationSets {
         let n = topo.num_nodes();
         let group = group_size.min(n.saturating_sub(1));
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+        // One scratch list, refilled in ascending candidate order for every
+        // source, so the shuffle makes the same draws a fresh list would;
+        // each set keeps only its `group` winners, not all n − 1 slots.
+        let mut others: Vec<NodeId> = Vec::with_capacity(n.saturating_sub(1));
         let sets = (0..n)
             .map(|src| {
-                let mut others: Vec<NodeId> = (0..n as u32)
-                    .map(NodeId)
-                    .filter(|&t| t.idx() != src)
-                    .collect();
+                others.clear();
+                others.extend((0..n as u32).map(NodeId).filter(|t| t.idx() != src));
                 others.shuffle(&mut rng);
-                others.truncate(group);
-                others.sort_unstable();
-                others
+                let mut set = others[..group].to_vec();
+                set.sort_unstable();
+                set
             })
             .collect();
         DestinationSets { sets }
@@ -205,6 +207,35 @@ mod tests {
         let c = DestinationSets::random(&topo, 8, 8);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn random_sets_keep_only_their_group_and_match_the_full_shuffle() {
+        // Each set holds `group` entries, not the n − 1 shuffled
+        // candidates, and the draws are those of shuffling a fresh
+        // candidate list per source.
+        let n = 1024;
+        let topo = Quarc::new(n).unwrap();
+        for seed in [1, 2, 77] {
+            let sets = DestinationSets::random(&topo, 4, seed);
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+            for src in 0..n {
+                let set = &sets.sets[src];
+                assert!(
+                    set.capacity() <= 4,
+                    "node {src}: capacity {}",
+                    set.capacity()
+                );
+                let mut others: Vec<NodeId> = (0..n as u32)
+                    .map(NodeId)
+                    .filter(|&t| t.idx() != src)
+                    .collect();
+                others.shuffle(&mut rng);
+                others.truncate(4);
+                others.sort_unstable();
+                assert_eq!(set, &others, "seed {seed} node {src}");
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub mod prelude {
     pub use noc_queueing::expmax::expected_max_exponentials;
     pub use noc_queueing::mg1::MG1;
     pub use noc_sim::{
-        build_engine, record_trace, ArrivalProcess, ClosedLoopResults, EngineCounters, EngineKind,
-        EventSimulator, PlanError, SimConfig, SimEngine, SimPlan, SimResults, Simulator,
+        build_engine, build_engine_with_plan, record_trace, ArrivalProcess, ClosedLoopResults,
+        Engine, EngineCounters, EngineKind, PlanError, SimConfig, SimPlan, SimResults,
     };
     pub use noc_telemetry::{
         chrome_trace, validate_chrome_trace, LogHistogram, TelemetrySpec, TraceEvent,

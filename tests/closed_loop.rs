@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{EngineKind, EventSimulator, SimConfig, SimResults, Simulator};
+use quarc_noc::sim::{build_engine, EngineKind, SimConfig, SimResults};
 
 fn run_closed(
     engine: EngineKind,
@@ -22,13 +22,13 @@ fn run_closed(
     let cfg = SimConfig::quick(seed).with_engine(engine);
     match engine {
         EngineKind::Cycle => {
-            let mut sim = Simulator::new(topo, &wl, cfg);
+            let mut sim = build_engine(topo, &wl, cfg).unwrap();
             sim.install_closed_loop(spec, seed);
             let res = sim.run();
             (res, sim.audit().expect("cycle audit"))
         }
         EngineKind::EventDriven => {
-            let mut sim = EventSimulator::new(topo, &wl, cfg);
+            let mut sim = build_engine(topo, &wl, cfg).unwrap();
             sim.install_closed_loop(spec, seed);
             let res = sim.run();
             (res, sim.audit().expect("event audit"))
@@ -140,7 +140,12 @@ fn closed_loop_rejects_nonzero_rate() {
     // AssertUnwindSafe: nothing is reused after the catch, and Network's
     // implicit-storage handle is plain shared data either way.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(3));
+        let mut sim = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(3).with_engine(EngineKind::Cycle),
+        )
+        .unwrap();
         sim.install_closed_loop(&spec, 3);
     }));
     assert!(result.is_err(), "non-zero rate must be rejected");

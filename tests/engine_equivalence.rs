@@ -6,14 +6,33 @@
 //! across early-termination paths (saturation, backlog overflow).
 
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{EngineKind, EventSimulator, SimConfig, SimResults, Simulator};
+use quarc_noc::sim::{build_engine, EngineKind, SimConfig, SimResults};
 
 /// Run both engines on the same (topology, workload, seed) and return
 /// their results as (cycle, event).
 fn both(topo: &dyn Topology, wl: &Workload, cfg: SimConfig) -> (SimResults, SimResults) {
-    let cycle = Simulator::new(topo, wl, cfg.with_engine(EngineKind::Cycle)).run();
-    let event = EventSimulator::new(topo, wl, cfg.with_engine(EngineKind::EventDriven)).run();
+    let cycle = build_engine(topo, wl, cfg.with_engine(EngineKind::Cycle))
+        .unwrap()
+        .run();
+    let event = build_engine(topo, wl, cfg.with_engine(EngineKind::EventDriven))
+        .unwrap()
+        .run();
+    assert_stepped(&cycle);
     (cycle, event)
+}
+
+/// The oracle side of a pair must really have stepped every cycle: the
+/// policy comes from `cfg.engine` alone, so no type stops a skipping
+/// engine from standing in for the reference.
+fn assert_stepped(cycle: &SimResults) {
+    assert_eq!(
+        cycle.engine.simulated_cycles, cycle.cycles,
+        "the cycle-side run skipped cycles"
+    );
+    assert_eq!(
+        cycle.engine.spans_batched, 0,
+        "the cycle-side run batched spans"
+    );
 }
 
 /// Bitwise equality for f64 statistics (NaN-safe: both engines must
@@ -272,7 +291,7 @@ fn saturating_runs_break_identically() {
 
 #[test]
 fn mesh_saturated_load_breaks_identically() {
-    // Saturated mesh: the calendar queue sees dense same-cycle arrival
+    // Saturated mesh: the event queue sees dense same-cycle arrival
     // bursts and the span-scan backoff is maximally engaged; the early
     // backlog break must still land on the same cycle with identical
     // statistics.
@@ -338,9 +357,9 @@ fn both_closed(
 ) -> (SimResults, SimResults) {
     let wl = Workload::new(8, 0.0, 0.0, sets).unwrap();
     let cfg = SimConfig::quick(seed);
-    let mut cycle = Simulator::new(topo, &wl, cfg.with_engine(EngineKind::Cycle));
+    let mut cycle = build_engine(topo, &wl, cfg.with_engine(EngineKind::Cycle)).unwrap();
     cycle.install_closed_loop(spec, seed);
-    let mut event = EventSimulator::new(topo, &wl, cfg.with_engine(EngineKind::EventDriven));
+    let mut event = build_engine(topo, &wl, cfg.with_engine(EngineKind::EventDriven)).unwrap();
     event.install_closed_loop(spec, seed);
     (cycle.run(), event.run())
 }
@@ -513,9 +532,9 @@ fn closed_loop_telemetry_identical_and_offsets_re_zeroed() {
     let sets = DestinationSets::random(&topo, 4, 71);
     let wl = Workload::new(8, 0.0, 0.0, sets).unwrap();
     let cfg = SimConfig::quick(71).with_telemetry(TelemetrySpec::flight_recorder(1 << 16, 64));
-    let mut cycle = Simulator::new(&topo, &wl, cfg.with_engine(EngineKind::Cycle));
+    let mut cycle = build_engine(&topo, &wl, cfg.with_engine(EngineKind::Cycle)).unwrap();
     cycle.install_closed_loop(&spec, 71);
-    let mut event = EventSimulator::new(&topo, &wl, cfg.with_engine(EngineKind::EventDriven));
+    let mut event = build_engine(&topo, &wl, cfg.with_engine(EngineKind::EventDriven)).unwrap();
     event.install_closed_loop(&spec, 71);
     let (cycle, event) = (cycle.run(), event.run());
     assert_closed_identical(&cycle, &event, "quarc coherence telemetry");
@@ -547,6 +566,7 @@ fn shared_plan_differential_pair_is_identical_too() {
     )
     .run();
     let event = build_engine_with_plan(&topo, &wl, cfg, plan).run();
+    assert_stepped(&cycle);
     assert_runs_identical(&cycle, &event, "quarc shared plan");
 }
 

@@ -9,7 +9,7 @@
 
 use quarc_noc::model::{max_sustainable_rate, AnalyticModel, ModelOptions};
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{SimConfig, Simulator};
+use quarc_noc::sim::{build_engine, EngineKind, SimConfig};
 
 struct Agreement {
     unicast_err: f64,
@@ -23,7 +23,13 @@ fn compare(topo: &dyn Topology, proto: &Workload, load_frac: f64, seed: u64) -> 
     let pred = AnalyticModel::new(topo, &wl, ModelOptions::default())
         .evaluate()
         .expect("operating point below saturation");
-    let res = Simulator::new(topo, &wl, SimConfig::quick(seed)).run();
+    let res = build_engine(
+        topo,
+        &wl,
+        SimConfig::quick(seed).with_engine(EngineKind::Cycle),
+    )
+    .unwrap()
+    .run();
     assert!(
         !res.saturated,
         "simulation must not saturate at {load_frac} of model sat"
@@ -134,7 +140,13 @@ fn spidergon_one_port_unicast_tracks_simulation() {
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
         .unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(47)).run();
+    let res = build_engine(
+        &topo,
+        &wl,
+        SimConfig::quick(47).with_engine(EngineKind::Cycle),
+    )
+    .unwrap()
+    .run();
     assert!(!res.saturated);
     let err = (pred.unicast_latency - res.unicast.mean).abs() / res.unicast.mean;
     assert!(err < 0.08, "spidergon unicast error {err:.3}");
@@ -175,7 +187,9 @@ fn per_node_predictions_track_per_source_measurements() {
         .unwrap();
     let mut cfg = SimConfig::quick(53);
     cfg.measure_cycles *= 4; // per-source populations need more samples
-    let res = Simulator::new(&topo, &wl, cfg).run();
+    let res = build_engine(&topo, &wl, cfg.with_engine(EngineKind::Cycle))
+        .unwrap()
+        .run();
 
     let mut pairs = Vec::new();
     for nm in &pred.per_node {
@@ -221,7 +235,13 @@ fn model_is_conservative_near_its_knee() {
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
         .unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(41)).run();
+    let res = build_engine(
+        &topo,
+        &wl,
+        SimConfig::quick(41).with_engine(EngineKind::Cycle),
+    )
+    .unwrap()
+    .run();
     assert!(
         pred.multicast_latency > res.multicast.mean * 0.9,
         "near the knee the model should not underestimate grossly: model {} sim {}",

@@ -31,8 +31,12 @@ fn quick_workload(topo: &dyn Topology, rate: f64, traffic: TrafficSpec) -> Workl
 /// Run both engines on the same (topology, workload, seed); the
 /// differential contract must hold for every traffic spec.
 fn both(topo: &dyn Topology, wl: &Workload, cfg: SimConfig) -> (SimResults, SimResults) {
-    let cycle = Simulator::new(topo, wl, cfg.with_engine(EngineKind::Cycle)).run();
-    let event = EventSimulator::new(topo, wl, cfg.with_engine(EngineKind::EventDriven)).run();
+    let cycle = build_engine(topo, wl, cfg.with_engine(EngineKind::Cycle))
+        .unwrap()
+        .run();
+    let event = build_engine(topo, wl, cfg.with_engine(EngineKind::EventDriven))
+        .unwrap()
+        .run();
     (cycle, event)
 }
 
@@ -179,7 +183,9 @@ fn permutation_patterns_route_to_the_defined_partner() {
             let wl = Workload::new(8, 0.004, 0.0, sets)
                 .unwrap()
                 .with_unicast_pattern(*pattern);
-            let res = EventSimulator::new(topo.as_ref(), &wl, SimConfig::quick(5)).run();
+            let res = build_engine(topo.as_ref(), &wl, SimConfig::quick(5))
+                .unwrap()
+                .run();
             assert!(res.unicast.count > 0, "{pattern:?} on {}", topo.name());
             let net = topo.network();
             for ch in net.channels() {

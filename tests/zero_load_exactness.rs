@@ -7,7 +7,7 @@
 
 use quarc_noc::model::{AnalyticModel, ModelOptions};
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{SimConfig, Simulator};
+use quarc_noc::sim::{build_engine, EngineKind, SimConfig};
 
 fn zero_workload(_topo: &dyn Topology, msg: u32, sets: DestinationSets) -> Workload {
     Workload::new(msg, 0.0, 0.0, sets).unwrap()
@@ -18,7 +18,12 @@ fn check_unicast_pairs(topo: &dyn Topology, msg: u32, pairs: &[(u32, u32)]) {
     let wl = zero_workload(topo, msg, sets);
     // One simulator serves every pair: each isolated measurement fully
     // drains the zero-rate network, so the next call starts from idle.
-    let mut sim = Simulator::new(topo, &wl, SimConfig::quick(1));
+    let mut sim = build_engine(
+        topo,
+        &wl,
+        SimConfig::quick(1).with_engine(EngineKind::Cycle),
+    )
+    .unwrap();
     for &(s, d) in pairs {
         let sim_lat = sim.measure_isolated_unicast(NodeId(s), NodeId(d));
         let path = topo.unicast_path(NodeId(s), NodeId(d));
@@ -67,7 +72,12 @@ fn quarc_multicast_zero_load_exact_against_model() {
             let sets = DestinationSets::random(&topo, group, 5);
             let wl = Workload::new(32, 0.0, 0.0, sets).unwrap();
             // Simulator measurement on an idle network.
-            let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+            let mut sim = build_engine(
+                &topo,
+                &wl,
+                SimConfig::quick(1).with_engine(EngineKind::Cycle),
+            )
+            .unwrap();
             let sim_lat = sim.measure_isolated_multicast(NodeId(0)) as f64;
             // Model prediction for node 0 at zero load.
             let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
@@ -96,7 +106,12 @@ fn localized_multicast_zero_load_exact() {
         .evaluate()
         .unwrap();
     for node in [0u32, 5, 31] {
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        let mut sim = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(1).with_engine(EngineKind::Cycle),
+        )
+        .unwrap();
         let sim_lat = sim.measure_isolated_multicast(NodeId(node)) as f64;
         let nm = pred
             .per_node
@@ -181,7 +196,12 @@ fn broadcast_zero_load_latency_formula() {
         let topo = Quarc::new(n).unwrap();
         let sets = DestinationSets::broadcast(&topo);
         let wl = Workload::new(msg, 0.0, 0.0, sets).unwrap();
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        let mut sim = build_engine(
+            &topo,
+            &wl,
+            SimConfig::quick(1).with_engine(EngineKind::Cycle),
+        )
+        .unwrap();
         let lat = sim.measure_isolated_multicast(NodeId(0));
         assert_eq!(lat, msg as u64 + (n / 4) as u64 + 1, "N={n} msg={msg}");
     }
